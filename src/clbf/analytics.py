@@ -6,19 +6,20 @@ positive ("false pairs") can combine into an alternative admissible
 segment sequence, making provenance ambiguous. This module computes the
 probability of that event two ways:
 
-* a closed-form route: an exact occupancy distribution for the number of
-  lit filter bits, a per-pair collision probability conditioned on it, and
-  a fitted histogram of per-sequence critical pairs;
+* a closed-form route: the occupancy law for the number of lit filter
+  bits, a per-pair collision probability conditioned on it, and a fitted
+  histogram of per-sequence critical pairs;
 * an oracle route: the same pipeline but with the critical-pair histogram
   obtained by exhaustive enumeration of admissible sequences.
 
 A "critical pair" of a sequence is a false pair that already yields an
-alternative admissible sequence when it is the only extra recovery. With
-J critical pairs, the number of false-pair subsets of size j that contain
-at least one of them is sum_{l=1..J} C(F-l, j-1) over a pool of F false
-pairs; summed against the histogram this gives the subset totals C_j, and
-weighting by collision probabilities gives the conditional ambiguity
-probability. The fitted histogram can overshoot the sequence count, so the
+alternative admissible sequence when it is the only extra recovery. A
+sequence with J of them turns ambiguous when at least one tests positive,
+with probability 1 - miss^J; the histogram mean of that over admissible
+sequences is the conditional ambiguity probability. As hit + miss = 1, it
+equals the subset-counting sum over a pool of F >= J false pairs
+(`fp_subset_count`, `fp_subset_totals`), which is kept as a tested
+identity. The fitted histogram can overshoot the sequence count, so the
 conditional value is clamped into [0, 1] and the clamp is flagged.
 
 Counting conventions: C(n, 0) = 1 for every n including negatives,
@@ -36,8 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .segments import ResourceCapError, _walk, count_valid_sequences
 
@@ -113,35 +115,24 @@ class ModelParams:
 # occupancy of the location filter
 
 
-@lru_cache(maxsize=256)
-def _occupancy_exact(m2: int, throws: int) -> tuple[tuple[int, ...], int]:
-    """Exact occupancy numerators over alpha = 1..min(m2, throws).
-
-    Pr(alpha) = C(m2, alpha) * sum_g (-1)^g C(alpha, g) (alpha-g)^throws
-    divided by m2^throws; the alternating sum counts surjections of the
-    throws onto a fixed alpha-subset of bits.
-    """
-    top = min(m2, throws)
-    powers = [pow(j, throws) for j in range(top + 1)]
-    nums = []
-    for alpha in range(1, top + 1):
-        s = 0
-        for g in range(alpha + 1):
-            term = math.comb(alpha, g) * powers[alpha - g]
-            s += -term if g & 1 else term
-        nums.append(math.comb(m2, alpha) * s)
-    den = pow(m2, throws)
-    if sum(nums) != den:
-        raise AssertionError("occupancy numerators do not sum to the denominator")
-    return tuple(nums), den
-
-
 def occupancy_pmf_vector(m2: int, k2: int, h: int) -> tuple[float, ...]:
-    """Pr(alpha lit bits) for alpha = 1..min(m2, k2*h), index alpha-1."""
+    """Pr(alpha lit bits) for alpha = 1..min(m2, k2*h), index alpha-1.
+
+    Each of the k2*h throws lands on a lit bit with probability alpha/m2,
+    so p_{t+1}(a) = p_t(a)*a/m2 + p_t(a-1)*(m2-a+1)/m2.
+    """
     if m2 < 1 or k2 < 1 or h < 1:
         raise ValueError("m2, k2 and h must all be >= 1")
-    nums, den = _occupancy_exact(m2, k2 * h)
-    return tuple(float(Fraction(n, den)) for n in nums)
+    top = min(m2, k2 * h)
+    lit = np.arange(top + 1)
+    stay = lit[1:] / m2
+    grow = (m2 - lit[:-1]) / m2
+    pmf = np.zeros(top + 1)
+    pmf[0] = 1.0
+    for _ in range(k2 * h):
+        pmf[1:] = pmf[1:] * stay + pmf[:-1] * grow
+        pmf[0] = 0.0
+    return tuple(pmf[1:].tolist())
 
 
 def occupancy_pmf(m2: int, k2: int, h: int, alpha: int) -> float:
@@ -302,67 +293,39 @@ def fp_subset_count(j: int, critical: int, pool: int) -> int:
     return sum(binom(pool - l, j - 1) for l in range(1, critical + 1))
 
 
-@lru_cache(maxsize=64)
 def fp_subset_totals(
     f_histogram: tuple[int, ...], delta: int, seq_len: int
 ) -> tuple[int, ...]:
-    """C_j for j = 1..pool: histogram-weighted ambiguous subset counts.
-
-    Reorders the double sum into suffix sums of the histogram so each j
-    costs one pass over l.
-    """
+    """C_j for j = 1..pool: sum_J f_J * sum_{l=1..J} C(pool-l, j-1)."""
     pool = seq_len * (delta - 1)
-    suffix = [0] * (len(f_histogram) + 2)
-    for j in range(len(f_histogram), 0, -1):
-        suffix[j] = suffix[j + 1] + f_histogram[j - 1]
-    totals = []
-    for j in range(1, pool + 1):
-        totals.append(
-            sum(binom(pool - l, j - 1) * suffix[l] for l in range(1, len(f_histogram) + 1))
-        )
-    return tuple(totals)
+    return tuple(
+        sum(f * binom(pool - l, j - 1)
+            for J, f in enumerate(f_histogram, start=1) for l in range(1, J + 1))
+        for j in range(1, pool + 1)
+    )
 
 
 def conditional_fp_probability(
     alpha: int,
     params: ModelParams,
-    subset_totals: tuple[int, ...],
+    histogram: tuple[int, ...],
     n_sequences: int,
 ) -> tuple[float, bool]:
     """Ambiguity probability given ``alpha`` lit bits, with a clamp flag.
 
-    (1 / |P|) * sum_j hit^j * miss^(F-j) * C_j, clamped into [0, 1].
+    (1 / |P|) * sum_J f_J * (1 - miss^J), clamped into [0, 1]. 1 - miss^J
+    is taken as -expm1(J * log1p(-hit)): a hit probability below machine
+    epsilon would otherwise round the whole value to 0.
     """
-    hit, miss = collision_probabilities(alpha, params.m2, params.k2)
-    pool = params.false_pool
-    if len(subset_totals) != pool:
-        raise ValueError(f"{len(subset_totals)} subset totals for a pool of {pool}")
+    hit, _ = collision_probabilities(alpha, params.m2, params.k2)
     if n_sequences < 1:
         raise ValueError("n_sequences must be >= 1")
-    terms = []
-    hit_pow = 1.0
-    miss_pows = [1.0] * (pool + 1)
-    for i in range(1, pool + 1):
-        miss_pows[i] = miss_pows[i - 1] * miss
-    for j in range(1, pool + 1):
-        hit_pow *= hit
-        c = subset_totals[j - 1]
-        if not c:
-            continue
-        try:
-            terms.append(hit_pow * miss_pows[pool - j] * float(c))
-        except OverflowError:
-            if hit_pow == 0.0 or miss_pows[pool - j] == 0.0:
-                continue
-            log_term = (
-                math.log(hit_pow) + math.log(miss_pows[pool - j]) + math.log(c)
-            )
-            terms.append(math.exp(log_term) if log_term > -745.0 else 0.0)
-    raw = math.fsum(terms) / n_sequences
+    log_miss = math.log1p(-hit) if hit < 1.0 else -math.inf
+    raw = math.fsum(
+        f * -math.expm1(j * log_miss) for j, f in enumerate(histogram, start=1)
+    ) / n_sequences
     if raw > 1.0:
         return 1.0, True
-    if raw < 0.0:
-        return 0.0, True
     return raw, False
 
 
@@ -375,7 +338,6 @@ class FpBreakdown:
     n_sequences: int
     occupancy: tuple[float, ...]
     critical_histogram: tuple[int, ...]
-    subset_totals: tuple[int, ...]
     conditional: tuple[float, ...]
     total: float
     clamped: bool
@@ -390,26 +352,17 @@ def fp_probability(params: ModelParams, backend: str = "closed_form") -> FpBreak
     else:
         hist = critical_pair_histogram(params.delta, params.seq_len)
     n_seq = count_valid_sequences(params.delta, params.seq_len)
-    totals = fp_subset_totals(hist, params.delta, params.seq_len)
     occ = occupancy_pmf_vector(params.m2, params.k2, params.h)
-    conditional = []
-    clamped_any = False
-    for alpha in range(1, len(occ) + 1):
-        value, clamped = conditional_fp_probability(alpha, params, totals, n_seq)
-        conditional.append(value)
-        clamped_any = clamped_any or clamped
-    total = math.fsum(p * c for p, c in zip(occ, conditional))
-    total = min(1.0, max(0.0, total))
+    evals = [conditional_fp_probability(a, params, hist, n_seq) for a in range(1, len(occ) + 1)]
     return FpBreakdown(
         params=params,
         backend=backend,
         n_sequences=n_seq,
         occupancy=occ,
         critical_histogram=hist,
-        subset_totals=totals,
-        conditional=tuple(conditional),
-        total=total,
-        clamped=clamped_any,
+        conditional=tuple(value for value, _ in evals),
+        total=min(1.0, math.fsum(p * value for p, (value, _) in zip(occ, evals))),
+        clamped=any(clamped for _, clamped in evals),
     )
 
 

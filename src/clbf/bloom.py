@@ -141,11 +141,6 @@ class BloomFilter:
         """Number of set bits."""
         return int.from_bytes(self._bits, "little").bit_count()
 
-    def bit(self, idx: int) -> bool:
-        if not 0 <= idx < self.m:
-            raise ParameterError(f"bit index {idx} outside [0, {self.m})")
-        return bool(self._bits[idx >> 3] & (1 << (idx & 7)))
-
     def fill(self) -> None:
         """Set every bit (saturate). Mainly useful for adversarial tests."""
         for i in range(len(self._bits)):

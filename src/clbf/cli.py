@@ -6,8 +6,9 @@ bundled preset and writes plot-ready CSVs with gnuplot scripts, and `trace`
 replays a single trial end to end for debugging.
 
 Output is deterministic byte for byte: no timestamps, no environment
-echoes, repr-formatted floats. Exit codes: 0 success, 2 usage or scenario
-errors, 3 infeasible optimization, 4 a recovery walk hit its resource cap.
+echoes, repr-formatted floats. Exit codes: 0 success, 2 usage, scenario or
+parameter errors, 3 infeasible optimization, 4 a recovery walk hit its
+resource cap.
 """
 
 from __future__ import annotations
@@ -423,6 +424,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -120,8 +120,6 @@ class Network:
     num_segments: int
     vehicle_segments: tuple[int, ...]
 
-    rsu: int = 0
-
     @property
     def n_nodes(self) -> int:
         return len(self.vehicle_segments) + 1

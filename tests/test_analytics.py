@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,11 @@ from clbf.analytics import (
     occupancy_pmf,
     occupancy_pmf_vector,
 )
-from clbf.segments import enumerate_valid_sequences, is_valid_sequence
+from clbf.segments import (
+    count_valid_sequences,
+    enumerate_valid_sequences,
+    is_valid_sequence,
+)
 
 
 def brute_critical_pairs(seq, num_segments):
@@ -56,6 +61,43 @@ def test_binom_conventions():
 
 # ---------------------------------------------------------------------------
 # occupancy law
+
+
+def exact_occupancy(m2, throws):
+    """Pr(alpha lit bits) for alpha = 1..min(m2, throws), in exact rationals.
+
+    C(m2, alpha) * sum_g (-1)^g C(alpha, g) (alpha-g)^throws / m2^throws;
+    the alternating sum counts surjections of the throws onto a fixed
+    alpha-subset of bits.
+    """
+    top = min(m2, throws)
+    powers = [pow(j, throws) for j in range(top + 1)]
+    den = pow(m2, throws)
+    law = []
+    for alpha in range(1, top + 1):
+        surjections = sum(
+            (-1) ** g * math.comb(alpha, g) * powers[alpha - g] for g in range(alpha + 1)
+        )
+        law.append(Fraction(math.comb(m2, alpha) * surjections, den))
+    assert sum(law) == 1
+    return law
+
+
+@pytest.mark.parametrize(
+    "m2,k2,h",
+    [(4, 2, 2), (16, 3, 4), (100, 5, 15), (200, 30, 15), (500, 8, 10),
+     (3975, 64, 5), (3854, 64, 10)],
+)
+def test_occupancy_recurrence_matches_exact_law(m2, k2, h):
+    vec = occupancy_pmf_vector(m2, k2, h)
+    law = exact_occupancy(m2, k2 * h)
+    assert len(vec) == len(law)
+    checked = 0
+    for got, exact in zip(vec, law):
+        if exact > Fraction(1, 10**290):
+            assert abs(Fraction(got) - exact) <= exact * Fraction(1, 10**12)
+            checked += 1
+    assert checked > 0
 
 
 def test_occupancy_sums_to_one():
@@ -226,31 +268,44 @@ def test_subset_totals_match_direct_double_sum():
 # conditional and total false-positive probability
 
 
-def telescoped_conditional(alpha, params, hist):
-    # sum_j hit^j miss^(F-j) [C(F,j) - C(F-J,j)] collapses to 1 - miss^J
+def subset_total_conditional(alpha, params, hist):
+    """The long form, unclamped: (1/|P|) * sum_j hit^j * miss^(F-j) * C_j."""
     hit, miss = collision_probabilities(alpha, params.m2, params.k2)
-    n_seq = sum(hist)
-    return (
-        math.fsum(f * (1.0 - (1.0 - hit) ** J) for J, f in enumerate(hist, start=1))
-        / n_seq
-    )
-
-
-def test_conditional_fp_equals_telescoped_form():
-    params = ModelParams(m2=32, k2=2, h=4, delta=3)
-    hist = critical_pair_histogram(params.delta, params.seq_len)
     totals = fp_subset_totals(hist, params.delta, params.seq_len)
-    for alpha in (1, 3, 8):
-        got, clamped = conditional_fp_probability(alpha, params, totals, sum(hist))
-        assert not clamped
-        assert got == pytest.approx(telescoped_conditional(alpha, params, hist), rel=1e-9)
+    pool = params.false_pool
+    terms = [hit**j * miss ** (pool - j) * c for j, c in enumerate(totals, start=1)]
+    return math.fsum(terms) / count_valid_sequences(params.delta, params.seq_len)
+
+
+BUDGET_SPLIT = ModelParams(m2=3975, k2=64, h=5, delta=15)  # hit < 1e-70 for every alpha
+
+
+def test_conditional_fp_equals_subset_total_sum():
+    geometries = (
+        ModelParams(m2=32, k2=2, h=4, delta=3),
+        ModelParams(m2=24, k2=3, h=5, delta=4, seq_len_mode="h_plus_1"),
+        ModelParams(m2=200, k2=8, h=15, delta=8),
+        BUDGET_SPLIT,
+    )
+    for params in geometries:
+        n_seq = count_valid_sequences(params.delta, params.seq_len)
+        top = min(params.m2, params.k2 * params.h)
+        for hist in (
+            critical_pair_histogram_closed(params.delta, params.h),
+            critical_pair_histogram(params.delta, params.seq_len),
+        ):
+            for alpha in sorted({1, 2, top // 3, top // 2, top}):
+                got, clamped = conditional_fp_probability(alpha, params, hist, n_seq)
+                want = subset_total_conditional(alpha, params, hist)
+                assert got > 0.0  # a hit far below machine epsilon still counts
+                assert clamped == (want > 1.0)
+                assert math.isclose(got, min(want, 1.0), rel_tol=1e-12), (params, alpha)
 
 
 def test_conditional_fp_saturates_cleanly():
     params = ModelParams(m2=8, k2=1, h=6, delta=4)
     hist = critical_pair_histogram(params.delta, params.seq_len)
-    totals = fp_subset_totals(hist, params.delta, params.seq_len)
-    value, _ = conditional_fp_probability(8, params, totals, sum(hist))
+    value, _ = conditional_fp_probability(8, params, hist, sum(hist))
     assert value == pytest.approx(1.0)  # alpha = m2 makes every probe hit
 
 
@@ -279,7 +334,6 @@ def test_fp_probability_breakdown_shape():
         assert 0.0 <= bd.total <= 1.0
         assert len(bd.occupancy) == min(params.m2, params.k2 * params.h)
         assert len(bd.conditional) == len(bd.occupancy)
-        assert len(bd.subset_totals) == params.false_pool
     with pytest.raises(ValueError):
         fp_probability(params, backend="guess")
 

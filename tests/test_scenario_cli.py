@@ -127,6 +127,19 @@ def test_cli_analyze_needs_all_parameters(capsys):
     assert "needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--m2", "0", "--k2", "3", "--hops", "4", "--delta", "3"],
+        ["analyze", "--m2", "64", "--k2", "3", "--hops", "4", "--delta", "0"],
+        ["optimize", "--m2", "64", "--hops", "0", "--delta", "3"],
+    ],
+)
+def test_cli_out_of_range_parameter_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_analyze_sweep_csv(capsys):
     rc = main(
         ["analyze", "--m2", "64", "--k2", "3", "--hops", "4", "--delta", "3",
