@@ -6,7 +6,7 @@ A roadside unit recovers the packet's path and fragment sequence from those
 bits alone. The package provides the packet layer (`protocol`), the filters
 and their hashing (`bloom`), the road-fragment dictionary (`segments`), a
 closed-form model of the recovery false-positive probability next to an
-enumeration oracle (`analytics`), parameter selection (`optimize`), a
+exact oracle (`analytics`), parameter selection (`optimize`), a
 deterministic Monte Carlo driver (`simulate`), and scenario files plus a
 CLI (`scenario`, `cli`).
 """

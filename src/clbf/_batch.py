@@ -5,12 +5,13 @@ same per-trial RNG draws the same placement and path, and the hash pipeline
 below reproduces `bloom.hash_indices` bit for bit over arrays. Trials are
 processed in fixed-size batches; results never depend on the batch size.
 
-The fast classification rests on one structural fact: when the edge filter
-returns exactly the true relay edges, the edge set is a single directed
-chain, so the only simple path of full length is the true one, and counting
-provenance candidates reduces to a dynamic program over the location
-filter's (position, fragment) membership matrix. Trials where the edge
-filter returned anything extra fall back to the reference recovery on a
+The batch classification rests on one structural fact: when a path of two
+or more hops gets exactly its true relay edges back from the edge filter,
+the edge set is a single directed chain, so the only simple path of full
+length is the true one, and counting provenance candidates reduces to a
+dynamic program, saturating at 2, over the location filter's (position,
+fragment) membership matrix. Single-hop trials, and trials where the edge
+filter returned anything extra, fall back to the reference recovery on a
 packet rebuilt from the very same filter bits.
 
 Key byte layouts are frozen here as flat streams (u16 length prefix before
@@ -110,8 +111,6 @@ def _run(
     h = setup.h
     delta = setup.num_segments
     m1, k1, m2, k2 = setup.m1, setup.k1, setup.m2, setup.k2
-    if h < 2:
-        raise ValueError("batch engine needs h >= 2; single-hop paths have no edges")
     segdict = setup.segment_dictionary()
     pair_prefix, pair_lookup, _ = _pair_universe(n)
     seg_axis = np.arange(1, delta + 1, dtype=np.uint64)[None, None, :]
@@ -173,10 +172,12 @@ def _run(
         edge_member = bits1[rows[:, None, None], probe_idx].all(axis=2)
 
         true_pos = pair_lookup[(prev * _U64(n) + curr).astype(np.int64)]
-        assert (true_pos >= 0).all()
+        if not (true_pos >= 0).all():
+            raise AssertionError("relay path holds a self-edge")
         if not edge_member[rows[:, None], true_pos].all():
             raise AssertionError("edge filter dropped a stored edge")
-        clean = edge_member.sum(axis=1) == h - 1
+        # one hop has no edge to pin the path down: every node is a candidate
+        clean = (edge_member.sum(axis=1) == h - 1) & (h >= 2)
 
         # probe every (position, fragment) pair of the true path
         node3 = path_arr[:, :, None]
@@ -191,15 +192,16 @@ def _run(
         if not reach[rows[:, None], pos_axis, truth_cols].all():
             raise AssertionError("location filter dropped a stored pair")
 
-        # admissible-sequence count over the membership matrix
+        # admissible-sequence count over the membership matrix, capped at 2
         cur = np.zeros((batch, delta + 1), dtype=np.int64)
         cur[:, 1] = reach[:, 0, 0]
         for i in range(1, h):
             nxt = np.zeros_like(cur)
-            nxt[:, 1:] = reach[:, i, :] * (cur[:, 1:] + cur[:, :-1])
+            nxt[:, 1:] = np.minimum(reach[:, i, :] * (cur[:, 1:] + cur[:, :-1]), 2)
             cur = nxt
         arrangements = cur.sum(axis=1)
-        assert (arrangements[clean] >= 1).all()
+        if not (arrangements[clean] >= 1).all():
+            raise AssertionError("location filter lost the true arrangement")
 
         for b in range(batch):
             if clean[b]:

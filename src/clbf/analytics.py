@@ -9,8 +9,8 @@ probability of that event two ways:
 * a closed-form route: the occupancy law for the number of lit filter
   bits, a per-pair collision probability conditioned on it, and a fitted
   histogram of per-sequence critical pairs;
-* an oracle route: the same pipeline but with the critical-pair histogram
-  obtained by exhaustive enumeration of admissible sequences.
+* an oracle route: the same pipeline but with the exact critical-pair
+  histogram, counted by a transfer DP over admissible sequences.
 
 A "critical pair" of a sequence is a false pair that already yields an
 alternative admissible sequence when it is the only extra recovery. A
@@ -30,7 +30,7 @@ when the even order is 0 (the odd-order fallthrough).
 Sequence-length modes: "h" models chains of h embedded pairs (default);
 "h_plus_1" lengthens sequences by the receiving roadside unit's own
 fragment. The false-pair pool always scales with the modeled sequence
-length so both modes stay self-consistent with the enumeration oracle.
+length so both modes stay self-consistent with the exact oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .segments import ResourceCapError, _walk, count_valid_sequences
+from .segments import _walk, count_valid_sequences  # noqa: F401  bench/layers.py wraps _walk
 
 __all__ = [
     "BackendComparison",
@@ -152,7 +152,7 @@ def collision_probabilities(alpha: int, m2: int, k2: int) -> tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
-# critical pairs per sequence: exact enumeration
+# critical pairs per sequence: exact count
 
 
 def count_critical_pairs(sequence: tuple[int, ...], num_segments: int) -> int:
@@ -180,27 +180,38 @@ def count_critical_pairs(sequence: tuple[int, ...], num_segments: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def critical_pair_histogram(
-    num_segments: int, seq_len: int, cap: int = 10_000_000
-) -> tuple[int, ...]:
-    """Oracle histogram f[J-1] = #sequences with J critical pairs.
+def critical_pair_histogram(num_segments: int, seq_len: int) -> tuple[int, ...]:
+    """Exact histogram f[J-1] = #sequences with J critical pairs.
 
     Index runs over J = 1..2*num_segments-2. Sequences with J = 0 exist
     only for single-position or single-segment inputs and are simply not
     recorded; they can never create ambiguity.
+
+    `count_critical_pairs` only reads a (prev, cur, next) window: an
+    interior position has a substitute iff exactly one of its two steps
+    climbs, the last one iff its step climbs or it is below the top
+    fragment. So a transfer DP over (fragment, last step) counts exactly.
     """
-    total = count_valid_sequences(num_segments, seq_len)
-    if total > cap:
-        raise ResourceCapError(f"{total} sequences exceed the oracle cap of {cap}")
-    hist = [0] * max(0, 2 * num_segments - 2)
-    for seq in _walk(num_segments, seq_len):
-        j = count_critical_pairs(seq, num_segments)
-        if j == 0:
-            if num_segments > 1 and seq_len > 1:
-                raise AssertionError(f"sequence {seq} has no critical pair")
-            continue
-        hist[j - 1] += 1
-    return tuple(hist)
+    if num_segments < 1 or seq_len < 1:
+        raise ValueError(f"need num_segments >= 1 and seq_len >= 1, got {num_segments}, {seq_len}")
+    width = 2 * num_segments - 1  # J = 0..2*num_segments-2, never more
+    # (fragment, step into it) -> counts by J over every position but the last
+    ways = {(1, None): [1] + [0] * (width - 1)}
+    for _ in range(seq_len - 1):
+        nxt = {}
+        for (cur, step), counts in ways.items():
+            for climb in range(1 + (cur < num_segments)):  # no climb past the top
+                turn = step is not None and step != climb
+                acc = nxt.setdefault((cur + climb, climb), [0] * width)
+                for j in range(turn, width):
+                    acc[j] += counts[j - turn]
+        ways = nxt
+    hist = [0] * width
+    for (cur, step), counts in ways.items():
+        last = step is not None and (step == 1 or cur < num_segments)
+        for j in range(last, width):
+            hist[j] += counts[j - last]
+    return tuple(hist[1:])
 
 
 def critical_pair_range(delta: int) -> range:
@@ -259,7 +270,7 @@ def critical_pair_histogram_closed(delta: int, h: int) -> tuple[int, ...]:
     """Fitted histogram over J = 1..2*delta-2; odd J maps to order 2*(J//2).
 
     This is a regression-style fit, not a count: it can disagree with the
-    enumeration oracle (including overshooting the number of admissible
+    exact oracle (including overshooting the number of admissible
     sequences), which is why downstream values are clamped and the backend
     comparison is reported rather than asserted.
     """
@@ -347,7 +358,8 @@ def fp_probability(params: ModelParams, backend: str = "closed_form") -> FpBreak
     """Unconditional ambiguity probability, averaged over the occupancy law."""
     if backend not in BACKENDS:
         raise ValueError(f"backend {backend!r} not in {BACKENDS}")
-    if backend == "closed_form":
+    # one position has no substitute: the exact histogram is all zeros there
+    if backend == "closed_form" and params.seq_len > 1:
         hist = critical_pair_histogram_closed(params.delta, params.h)
     else:
         hist = critical_pair_histogram(params.delta, params.seq_len)
@@ -372,7 +384,7 @@ def fp_probability(params: ModelParams, backend: str = "closed_form") -> FpBreak
 
 @dataclass(frozen=True)
 class BackendComparison:
-    """Fitted vs enumerated critical-pair histograms for one(delta, h)."""
+    """Fitted vs exact critical-pair histograms for one (delta, h)."""
 
     delta: int
     h: int

@@ -204,7 +204,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.preset
         else os.path.splitext(os.path.basename(args.scenario))[0]
     )
-    fast = not args.reference
     if scn.sweep is not None:
         param, values = scn.sweep
         rows = run_sweep(
@@ -215,12 +214,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed,
             backend=args.backend,
             seq_len_mode=args.seq_len_mode,
-            fast=fast,
         )
         _write(os.path.join(out, f"{stem}.csv"), sweep_csv_text(rows))
         print(_sweep_summary(stem, rows))
         return 0
-    result = run_point(scn.setup, trials, seed, point_tag=0, fast=fast)
+    result = run_point(scn.setup, trials, seed, point_tag=0)
     model = fp_probability(
         scn.setup.model_params(args.seq_len_mode), backend=args.backend
     ).total
@@ -277,7 +275,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
             trials,
             scn.base_seed,
             backend=args.backend,
-            fast=not args.reference,
         )
         _write(os.path.join(out, f"{name}.csv"), sweep_csv_text(rows))
         _write(os.path.join(out, f"{name}.gp"), gnuplot_script(name, param))
@@ -372,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, help="override the scenario's base seed")
     s.add_argument("--backend", choices=BACKENDS, default="closed_form")
     s.add_argument("--seq-len-mode", choices=SEQ_LEN_MODES, default="h")
-    s.add_argument("--reference", action="store_true", help="disable the batch engine")
     s.add_argument("--out", help="output directory (default $CLBF_OUT_DIR or .)")
     s.set_defaults(func=cmd_simulate)
 
@@ -390,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("figures", help="run all bundled presets, write CSV + gnuplot")
     f.add_argument("--trials", type=int, help="override every preset's trial count")
     f.add_argument("--backend", choices=BACKENDS, default="closed_form")
-    f.add_argument("--reference", action="store_true", help="disable the batch engine")
     f.add_argument("--out", help="output directory (default $CLBF_OUT_DIR or .)")
     f.set_defaults(func=cmd_figures)
 

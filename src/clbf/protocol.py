@@ -50,6 +50,8 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _HEADER = struct.Struct("<QBIIHHQ")
 
+MAX_HOPS = 0xFF  # hop_count is a u8 on the wire
+
 PATH_CAP = 1_000_000
 SEQUENCE_CAP = 1_000_000
 
@@ -120,7 +122,7 @@ class Clbf:
         """Relay step: record the incoming edge and the relay's location."""
         if self.hop_count < 1:
             raise ProtocolError("forward embedding before the source embedding")
-        if self.hop_count >= 0xFF:
+        if self.hop_count >= MAX_HOPS:
             raise ProtocolError("hop counter exhausted (u8)")
         if prev == curr:
             raise ProtocolError(f"self-edge {prev}->{curr}")
@@ -261,7 +263,8 @@ def recover_locations(
 
     extend([])
     for seq in out:
-        assert is_valid_sequence(seq, num_segments)
+        if not is_valid_sequence(seq, num_segments):
+            raise AssertionError(f"location walk produced inadmissible sequence {seq}")
     return out
 
 

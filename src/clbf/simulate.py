@@ -12,10 +12,9 @@ triple, the per-trial RNG is Philox keyed with that seed, and the packet
 seed and pid are derived from the same triple, so any single trial can be
 replayed in isolation. Results never depend on execution order or batching.
 
-Two execution engines produce identical results: `run_trial` is the plain
-reference (build the packet object, run full recovery), and `_batch` is a
-vectorized engine used by `run_point` for large trial counts. The test
-suite holds them to per-trial equality.
+`run_point` runs every point on the vectorized `_batch` engine. `run_trial`
+is the plain reference it must match (build the packet object, run full
+recovery); the test suite holds the two to per-trial equality.
 
 Path sampling is uniform over the feasible fragment sequences (those whose
 per-fragment multiplicities the placement can staff), then uniform over the
@@ -38,7 +37,7 @@ import numpy as np
 
 from .analytics import ModelParams, fp_probability
 from .bloom import GAMMA, ParameterError, mix64
-from .protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, recover_provenance
+from .protocol import MAX_HOPS, Clbf, recover_provenance
 from .segments import SegmentDictionary
 
 __all__ = [
@@ -355,6 +354,8 @@ class SimulationSetup:
             raise ParameterError(
                 f"h={self.h} outside 1..{self.n_nodes - 1} (one vehicle per hop)"
             )
+        if self.h > MAX_HOPS:
+            raise ParameterError(f"h={self.h} exceeds the packet's hop counter ({MAX_HOPS})")
 
     def segment_dictionary(self) -> SegmentDictionary:
         return SegmentDictionary(self.road_length_m, self.num_segments)
@@ -452,30 +453,14 @@ def run_point(
     trials: int,
     base_seed: int,
     point_tag: int = 0,
-    fast: bool = True,
 ) -> PointResult:
     """Run `trials` independent trials of one parameter point."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    # the batch engine needs >= 2 hops (else non-path candidates exist) and
-    # int64 headroom for its sequence-count DP
-    if fast and 2 <= setup.h <= 60:
-        from . import _batch
+    from . import _batch
 
-        unique, fp, miss, skipped = _batch.run_point_counts(
-            setup, trials, base_seed, point_tag
-        )
-        return PointResult(trials, unique, fp, miss, skipped)
-    counts = {UNIQUE: 0, FALSE_POSITIVE: 0, MISS: 0}
-    skipped = 0
-    for t in range(trials):
-        try:
-            counts[run_trial(setup, base_seed, point_tag, t).classification] += 1
-        except NoValidPath:
-            skipped += 1
-    return PointResult(
-        trials, counts[UNIQUE], counts[FALSE_POSITIVE], counts[MISS], skipped
-    )
+    unique, fp, miss, skipped = _batch.run_point_counts(setup, trials, base_seed, point_tag)
+    return PointResult(trials, unique, fp, miss, skipped)
 
 
 @dataclass(frozen=True)
@@ -497,7 +482,6 @@ def run_sweep(
     base_seed: int,
     backend: str = "closed_form",
     seq_len_mode: str = "h",
-    fast: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> list[SweepRow]:
     """Sweep one parameter; each point gets its own tag (its sweep index)."""
@@ -513,7 +497,7 @@ def run_sweep(
         model = fp_probability(
             point.model_params(seq_len_mode), backend=backend
         ).total
-        result = run_point(point, trials, base_seed, point_tag=i, fast=fast)
+        result = run_point(point, trials, base_seed, point_tag=i)
         rows.append(
             SweepRow(
                 point_tag=i,

@@ -161,14 +161,19 @@ def test_histogram_oracle_frozen():
     hist = critical_pair_histogram(3, 4)
     assert sum(hist) == len(enumerate_valid_sequences(3, 4))
     assert len(hist) == len(critical_pair_range(3))
+    # ~5.5e11 sequences, far past anything enumeration can list
+    assert sum(critical_pair_histogram(30, 40)) == count_valid_sequences(30, 40)
 
 
 def test_histogram_oracle_matches_brute_force():
-    for delta, length in ((2, 4), (3, 5), (4, 4)):
-        hist = [0] * (2 * delta - 2)
-        for seq in enumerate_valid_sequences(delta, length):
-            hist[brute_critical_pairs(seq, delta) - 1] += 1
-        assert critical_pair_histogram(delta, length) == tuple(hist)
+    for delta in range(1, 9):
+        for length in range(1, 13):
+            hist = [0] * (2 * delta - 2)
+            for seq in enumerate_valid_sequences(delta, length):
+                j = brute_critical_pairs(seq, delta)
+                if j:  # one position or one fragment: nothing to substitute
+                    hist[j - 1] += 1
+            assert critical_pair_histogram(delta, length) == tuple(hist), (delta, length)
 
 
 def test_critical_pair_range():
@@ -351,3 +356,7 @@ def test_seq_len_mode_changes_the_pool():
 def test_single_fragment_road_never_ambiguous():
     bd = fp_probability(ModelParams(m2=16, k2=2, h=4, delta=1))
     assert bd.total == 0.0
+    # neither is a single-hop route: one position has no substitute
+    for backend in BACKENDS:
+        bd = fp_probability(ModelParams(m2=64, k2=1, h=1, delta=3), backend=backend)
+        assert bd.total == 0.0 and not bd.clamped

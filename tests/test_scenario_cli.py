@@ -121,6 +121,14 @@ def test_cli_analyze_point(capsys):
     assert "clamped: no" in out or "clamped: yes" in out
 
 
+def test_cli_oracle_counts_geometries_past_enumeration(capsys):
+    # 5.5e11 admissible sequences: the oracle counts them without listing any
+    rc = main(["analyze", "--backend", "oracle", "--m2", "200", "--k2", "5",
+               "--hops", "40", "--delta", "30"])
+    assert rc == 0
+    assert "admissible sequences 549463063520" in capsys.readouterr().out
+
+
 def test_cli_analyze_needs_all_parameters(capsys):
     rc = main(["analyze", "--m2", "64", "--k2", "3"])
     assert rc == 2
@@ -194,6 +202,14 @@ def test_cli_simulate_bad_scenario(tmp_path, capsys):
     rc = main(["simulate", "--scenario", str(bad)])
     assert rc == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+def test_cli_simulate_hops_past_the_hop_counter(tmp_path, capsys):
+    scenario = tmp_path / "long.ini"
+    scenario.write_text(GOOD.replace("n = 6", "n = 257").replace("hops = 4", "hops = 256"))
+    rc = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "hop counter" in capsys.readouterr().err
 
 
 def test_cli_optimize_k2_mode(capsys):

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clbf import _batch
 from clbf.bloom import ParameterError, fnv1a64, mix64, _seed_tag
-from clbf.protocol import edge_key, location_key
+from clbf.protocol import FALSE_POSITIVE, MISS, UNIQUE, edge_key, location_key
 from clbf.segments import SegmentDictionary, enumerate_valid_sequences, is_valid_sequence
 from clbf.simulate import (
+    PLACEMENT_POLICIES,
     Network,
     NoValidPath,
     PlacementSpec,
@@ -248,6 +250,16 @@ def test_batch_slot_indices_match_the_scalar_hash():
     assert idx[0].tolist() == hash_indices(edge_key(1, 2, 3), 97, 5, seed)
 
 
+def reference_labels(setup, trials, base_seed, point_tag):
+    labels = []
+    for t in range(trials):
+        try:
+            labels.append(run_trial(setup, base_seed, point_tag, t).classification)
+        except NoValidPath:
+            labels.append(_batch.SKIPPED)
+    return labels
+
+
 @pytest.mark.parametrize(
     "placement,n,delta,h",
     [
@@ -256,40 +268,82 @@ def test_batch_slot_indices_match_the_scalar_hash():
         (PlacementSpec("random"), 10, 4, 4),
         (PlacementSpec("explicit", segments=(1, 2, 2, 3, 3, 4)), 7, 4, 5),
         (PlacementSpec("free"), 8, 6, 5),
+        (PlacementSpec("random"), 10, 4, 1),  # single hop: every trial falls back
+        (PlacementSpec("free"), 8, 3, 1),
+        (PlacementSpec("random"), 67, 6, 64),
+        (PlacementSpec("free"), 70, 5, 66),
     ],
 )
 def test_engines_agree_per_trial(placement, n, delta, h):
-    setup = small_setup(placement=placement, n_nodes=n, num_segments=delta, h=h)
-    trials = 300
-    fast = _batch.run_point_classifications(setup, trials, base_seed=31, point_tag=2)
-    for t in range(trials):
-        try:
-            want = run_trial(setup, 31, 2, t).classification
-        except NoValidPath:
-            want = _batch.SKIPPED
-        assert fast[t] == want, f"trial {t}"
+    # long paths need wider filters, or the reference's path search blows up
+    wide = dict(m1=4096, k1=3, m2=512, k2=2) if h > 60 else {}
+    setup = small_setup(placement=placement, n_nodes=n, num_segments=delta, h=h, **wide)
+    trials = 300 if h <= 60 else 30
+    assert reference_labels(setup, trials, 31, 2) == _batch.run_point_classifications(
+        setup, trials, base_seed=31, point_tag=2
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_engines_agree_on_drawn_setups(data):
+    policy = data.draw(st.sampled_from(PLACEMENT_POLICIES))
+    delta = data.draw(st.integers(1, 6))
+    if policy == "uniform_per_segment":
+        # the unit takes one slot of fragment 1, so one fragment needs two
+        per = data.draw(st.integers(1 + (delta == 1), 3))
+        n, placement = per * delta, PlacementSpec(policy, per_segment=per)
+    else:
+        n = data.draw(st.integers(2, 9))
+        segs = st.lists(st.integers(1, delta), min_size=n - 1, max_size=n - 1)
+        segments = tuple(data.draw(segs)) if policy == "explicit" else None
+        placement = PlacementSpec(policy, segments=segments)
+    setup = SimulationSetup(
+        n_nodes=n,
+        num_segments=delta,
+        road_length_m=100.0 * delta,
+        placement=placement,
+        h=data.draw(st.integers(1, min(7, n - 1))),
+        m1=8 * data.draw(st.integers(8, 64)),
+        k1=data.draw(st.integers(1, 4)),
+        m2=8 * data.draw(st.integers(1, 16)),
+        k2=data.draw(st.integers(1, 4)),
+    )
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    labels = _batch.run_point_classifications(setup, 20, base_seed=seed, point_tag=0)
+    assert labels == reference_labels(setup, 20, seed, 0)
+
+
+def test_batch_arrangement_count_saturates():
+    # a lit-out location filter admits ~2^65 sequences at h=66 over 40
+    # fragments, past int64: only the saturated count stays right
+    setup = small_setup(
+        placement=PlacementSpec("uniform_per_segment", per_segment=2),
+        n_nodes=80, num_segments=40, h=66, m1=8192, k1=6, m2=8, k2=4,
+    )
+    assert set(_batch.run_point_classifications(setup, 8, base_seed=1, point_tag=0)) == {
+        FALSE_POSITIVE
+    }
 
 
 def test_run_point_engines_aggregate_identically():
-    setup = small_setup()
-    a = run_point(setup, 400, base_seed=5, fast=True)
-    b = run_point(setup, 400, base_seed=5, fast=False)
-    assert a == b
-    assert a.trials == 400
-    assert a.unique + a.false_positive + a.miss + a.skipped == 400
+    for setup in (small_setup(), small_setup(h=1, placement=PlacementSpec("balanced_prefix"))):
+        labels = reference_labels(setup, 400, 5, 0)
+        result = run_point(setup, 400, base_seed=5)
+        assert result == PointResult(
+            400,
+            labels.count(UNIQUE),
+            labels.count(FALSE_POSITIVE),
+            labels.count(MISS),
+            labels.count(_batch.SKIPPED),
+        )
+        assert result.miss == 0
 
 
 def test_run_point_is_reproducible():
     setup = small_setup(placement=PlacementSpec("random"), n_nodes=10)
     assert run_point(setup, 200, base_seed=9) == run_point(setup, 200, base_seed=9)
     assert run_point(setup, 200, base_seed=9) != run_point(setup, 200, base_seed=10)
-
-
-def test_single_hop_points_use_the_reference_engine():
-    setup = small_setup(h=1, placement=PlacementSpec("balanced_prefix"))
-    result = run_point(setup, 50, base_seed=3)
-    assert result.trials == 50
-    assert result.miss == 0
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +390,9 @@ def test_setup_validation():
         small_setup(h=8)  # more hops than vehicles
     with pytest.raises(ParameterError):
         small_setup(n_nodes=1, h=1)
+    with pytest.raises(ParameterError):  # the wire format counts hops in a u8
+        small_setup(n_nodes=300, h=256)
+    assert small_setup(n_nodes=300, h=255).h == 255
 
 
 def test_sample_occupancy_deterministic_and_bounded():
