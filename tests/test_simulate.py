@@ -326,18 +326,31 @@ def test_batch_arrangement_count_saturates():
     }
 
 
+def assert_point_matches_reference(setup, trials, seed):
+    labels = reference_labels(setup, trials, seed, 0)
+    result = run_point(setup, trials, base_seed=seed)
+    assert result == PointResult(
+        trials,
+        labels.count(UNIQUE),
+        labels.count(FALSE_POSITIVE),
+        labels.count(MISS),
+        labels.count(_batch.SKIPPED),
+    )
+    assert result.miss == 0
+    return result
+
+
 def test_run_point_engines_aggregate_identically():
-    for setup in (small_setup(), small_setup(h=1, placement=PlacementSpec("balanced_prefix"))):
-        labels = reference_labels(setup, 400, 5, 0)
-        result = run_point(setup, 400, base_seed=5)
-        assert result == PointResult(
-            400,
-            labels.count(UNIQUE),
-            labels.count(FALSE_POSITIVE),
-            labels.count(MISS),
-            labels.count(_batch.SKIPPED),
-        )
-        assert result.miss == 0
+    assert_point_matches_reference(small_setup(), 400, 5)
+
+
+def test_single_hop_points_use_the_reference_engine():
+    # h=1 points go through the batch engine like every other point; their
+    # tally must be the one the per-trial reference engine gives.
+    setup = small_setup(h=1, placement=PlacementSpec("balanced_prefix"))
+    result = assert_point_matches_reference(setup, 400, 5)
+    assert result.trials == 400
+    assert run_point(setup, 50, base_seed=3).miss == 0
 
 
 def test_run_point_is_reproducible():
