@@ -1,18 +1,38 @@
 """Vectorized trial engine.
 
-Numerically identical to the reference path in `simulate`/`protocol`: the
-same per-trial RNG draws the same placement and path, and the hash pipeline
-below reproduces `bloom.hash_indices` bit for bit over arrays. Trials are
-processed in fixed-size batches; results never depend on the batch size.
+Numerically identical to the reference path in `simulate`/`protocol`. A
+point runs in batches of trials, and results never depend on the batch
+size. Each batch passes through three stages.
 
-The batch classification rests on one structural fact: when a path of two
-or more hops gets exactly its true relay edges back from the edge filter,
-the edge set is a single directed chain, so the only simple path of full
-length is the true one, and counting provenance candidates reduces to a
-dynamic program, saturating at 2, over the location filter's (position,
-fragment) membership matrix. Single-hop trials, and trials where the edge
-filter returned anything extra, fall back to the reference recovery on a
-packet rebuilt from the very same filter bits.
+Sample. The batch sampler replays, over arrays, the stream each trial's
+`trial_rng` generator would produce: numpy's Philox4x64-10 blocks (counter
+incremented before each block, 64x64->128 multiplies on 32-bit limbs), cut
+into 32-bit halves low half first, and Lemire's bounded draws on those
+halves, in the order the scalar `draw_trial_path` makes them: the `random`
+placement's fragment draws, the sequence rank, then the partial
+Fisher-Yates draws of each fragment block. A draw of bound 1 consumes
+nothing. Unranking and Fisher-Yates run as array operations; what a point
+shares (the network of a fixed placement, the fragment pools, the
+completion table) is built once per point. A trial goes back through the
+scalar `trial_rng` + `draw_trial_path` only when one of its draws hit a
+Lemire rejection, or when its sequence count reaches 2^32, which numpy
+draws from full 64-bit words.
+
+Embed. The hash pipeline reproduces `bloom.hash_indices` bit for bit and
+sets every trial's filter bits.
+
+Probe and classify. Every ordered pair of relays is probed against the
+edge filter and every admissible (position, fragment) cell of the true path
+against the location filter, level by level: slot L is computed only for
+keys still positive after L levels. When a path of two or more hops gets
+exactly its true relay edges back from the edge filter, the edge set is a
+single directed chain, so the only simple path of full length is the true
+one, and counting provenance candidates reduces to a dynamic program,
+saturating at 2, over the location filter's (position, fragment)
+membership matrix.
+Single-hop trials, and trials where the edge filter returned anything
+extra, fall back to the reference recovery on a packet rebuilt from the
+very same filter bits.
 
 Key byte layouts are frozen here as flat streams (u16 length prefix before
 every field, values little-endian); a unit test pins them against
@@ -21,17 +41,21 @@ every field, values little-endian); a unit test pins them against
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
 
 from .bloom import FNV_OFFSET, FNV_PRIME, GAMMA, _MIX_A, _MIX_B, mix64
 from .protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, recover_provenance
+from .segments import count_valid_sequences
 from .simulate import (
     NoValidPath,
     SimulationSetup,
-    derive_trial_seed,
+    check_sequence_count,
+    count_feasible_sequences,
     draw_trial_path,
+    generate_network,
     trial_pid,
     trial_rng,
 )
@@ -45,24 +69,44 @@ _PRIME = _U64(FNV_PRIME)
 _GAMMA = _U64(GAMMA)
 _A = _U64(_MIX_A)
 _B = _U64(_MIX_B)
+_LO32 = _U64(0xFFFFFFFF)
+_32 = _U64(32)
 
 SKIPPED = "skipped"
+_LABELS = (UNIQUE, FALSE_POSITIVE, MISS, SKIPPED)  # outcome codes 0..3
 
 BATCH = 512
+# the `random` placement builds one completion table per trial; its batches
+# shrink so those tables stay within this many cells
+_TABLE_CELLS = 1 << 20
+
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
+_HALVES_PER_BLOCK = 8
+# a rank bound at or past this takes numpy's 64-bit draw: scalar path
+_RANK_CAP = 1 << 32
+
+
+# The hashing below works in place where it can: a fresh large array costs
+# more to fault in than the arithmetic done on it.
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> _U64(30))) * _A
-    x = (x ^ (x >> _U64(27))) * _B
-    return x ^ (x >> _U64(31))
+    """splitmix64 finalizer of a fresh array, computed in place."""
+    x ^= x >> _U64(30)
+    x *= _A
+    x ^= x >> _U64(27)
+    x *= _B
+    x ^= x >> _U64(31)
+    return x
 
 
 def _fnv(shape: tuple[int, ...], terms) -> np.ndarray:
     acc = np.full(shape, _OFFSET, dtype=np.uint64)
     for t in terms:
-        if not isinstance(t, np.ndarray):
-            t = _U64(t)
-        acc = (acc ^ t) * _PRIME
+        acc ^= t if isinstance(t, np.ndarray) else _U64(t)
+        acc *= _PRIME
     return acc
 
 
@@ -79,25 +123,428 @@ def _u64_field(values_bytes: list) -> list:
     return [8, 0, *values_bytes]
 
 
+def _slot(base: np.ndarray, level: int, m: int) -> np.ndarray:
+    """Slot `level` of seeded key hashes `base` (= h0 ^ seed tag) in an m-bit filter."""
+    x = _mix(base ^ _U64(((level + 1) * GAMMA) & _MASK64))
+    np.remainder(x, _U64(m), out=x)
+    return x.view(np.int64)
+
+
 def _slot_indices(h0: np.ndarray, tag: np.ndarray, m: int, k: int) -> np.ndarray:
-    out = np.empty(h0.shape + (k,), dtype=np.int64)
-    base = h0 ^ tag
-    for level in range(k):
-        c = _U64(((level + 1) * GAMMA) & _MASK64)
-        out[..., level] = (_mix(base ^ c) % _U64(m)).astype(np.int64)
-    return out
+    """All k slots of every key, stacked on a last axis."""
+    levels = np.arange(1, k + 1, dtype=np.uint64) * _GAMMA  # (L + 1) * GAMMA mod 2^64
+    x = _mix((h0 ^ tag)[..., None] ^ levels)
+    np.remainder(x, _U64(m), out=x)
+    return x.view(np.int64)
 
 
-def _pair_universe(n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All ordered node pairs, their 10-byte key-prefix hashes, and a lookup."""
-    a = np.repeat(np.arange(n_nodes, dtype=np.uint64), n_nodes)
-    b = np.tile(np.arange(n_nodes, dtype=np.uint64), n_nodes)
+def _trial_seeds(base_seed: int, point_tag: int, trials: np.ndarray) -> np.ndarray:
+    """`simulate.derive_trial_seed` over an array of trial indices."""
+    a = mix64((base_seed + (point_tag + 1) * GAMMA) & _MASK64)
+    return _mix(_U64(a) + (trials + _U64(1)) * _GAMMA)
+
+
+# ---------------------------------------------------------------------------
+# sample: numpy's per-trial Philox stream, replayed over a batch
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product a * b, from 32-bit limbs."""
+    a_lo, a_hi = _U64(a & 0xFFFFFFFF), _U64(a >> 32)
+    b_lo, b_hi = b & _LO32, b >> _32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _32) + (lh & _LO32) + (hl & _LO32)
+    hi = a_hi * b_hi + (lh >> _32) + (hl >> _32) + (mid >> _32)
+    return hi, _U64(a) * b
+
+
+def philox_words(keys: np.ndarray, n_blocks: int) -> np.ndarray:
+    """`np.random.Philox(key=row).random_raw(4 * n_blocks)` for every row of `keys`.
+
+    keys: (rows, 2) uint64. A fresh Philox bit generator starts at counter
+    zero and increments the counter before each block, so block i is keyed
+    at counter (i + 1, 0, 0, 0).
+    """
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    shape = (len(keys), n_blocks)
+    x0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64), shape)
+    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack([x0, x1, x2, x3], axis=-1).reshape(len(keys), 4 * n_blocks)
+
+
+def half_words(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` 32-bit draws of each row's generator, low half first."""
+    words = philox_words(keys, -(-count // _HALVES_PER_BLOCK))
+    halves = np.stack([words & _LO32, words >> _32], axis=-1)
+    return halves.reshape(len(keys), -1)[:, :count]
+
+
+def lemire(half: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`Generator.integers(bound)` on 32-bit draws `half`, for 1 <= bound < 2^32.
+
+    Returns (values, rejected). Where `rejected` is set numpy would have
+    drawn again; those values are void. A bound of 1 consumes no draw: its
+    value is 0 and it is never rejected, whatever `half` holds.
+    """
+    bound = bound.astype(np.uint64)
+    m = half * bound
+    threshold = (_U64(1 << 32) - bound) % bound
+    return (m >> _32).astype(np.int64), (m & _LO32) < threshold
+
+
+def _completion_prefix(caps: np.ndarray, h: int) -> np.ndarray:
+    """Prefix sums over r of the completion table D(l, r), saturated at 2^32.
+
+    caps: (rows, width) largest block each fragment can staff. Returns
+    pre (rows, width + 1, h + 2) with pre[:, l, r] the sum over r' < r of
+    min(D(l, r'), 2^32), so D(l, r) = pre[:, l, r + 1] - pre[:, l, r] below
+    the cap. A sum of saturated terms saturates exactly where the true sum
+    does, and a rank bound at the cap goes to the scalar draw.
+    """
+    rows, width = caps.shape
+    rem = np.arange(h + 1)
+    pre = np.zeros((rows, width + 1, h + 2), dtype=np.int64)
+    pre[:, width, 1:] = 1  # D(width, 0) = 1, D(width, r > 0) = 0
+    for l in range(width - 1, -1, -1):
+        nxt = pre[:, l + 1]
+        low = np.maximum(rem - caps[:, l : l + 1], 0)
+        d = nxt[:, : h + 1] - np.take_along_axis(nxt, low, axis=1)
+        d[:, 0] = 1
+        np.cumsum(np.minimum(d, _RANK_CAP), axis=1, out=pre[:, l, 1:])
+    return pre
+
+
+def _unrank(
+    pre: np.ndarray, caps: np.ndarray, g: np.ndarray, u: np.ndarray, h: int
+) -> np.ndarray:
+    """Block sizes (rows, width) of the u-th feasible sequence, fragment 1 first.
+
+    `simulate._unrank_blocks` over a batch, row i reading table g[i]: at
+    each fragment the block size is the first b whose cumulative weight
+    D(l+1, rem-1) + ... + D(l+1, rem-b) exceeds u. Every row needs
+    u < D(0, h) < 2^32.
+    """
+    rows, width = len(u), caps.shape[1]
+    b_axis = np.arange(1, min(int(caps.max()), h) + 1)
+    blocks = np.zeros((rows, width), dtype=np.int64)
+    rem = np.full(rows, h)
+    for l in range(width):
+        if not rem.any():
+            break
+        low = np.maximum(rem[:, None] - b_axis, 0)
+        cum = pre[g, l + 1, rem][:, None] - pre[g[:, None], l + 1, low]
+        fits = b_axis <= np.minimum(caps[g, l], rem)[:, None]
+        skip = ((cum <= u[:, None]) & fits).sum(axis=1)
+        passed = np.take_along_axis(cum, np.maximum(skip - 1, 0)[:, None], axis=1)[:, 0]
+        u = u - np.where(skip > 0, passed, 0)
+        b = np.where(rem > 0, skip + 1, 0)
+        blocks[:, l] = b
+        rem = rem - b
+    if rem.any():
+        raise AssertionError("sequence unranking left the table")
+    return blocks
+
+
+class _PathLaw:
+    """A point's path draw, with what its trials share built once.
+
+    `pools` holds, per fragment l below `width` (a length-h sequence reaches
+    at most fragment h): `caps`, the largest block the rank table allows
+    there; `start`, where fragment l's Fisher-Yates pool begins in `order`
+    (vehicle ids by fragment, ascending); and `pre`, the completion table.
+    The `free` placement draws the whole path from one pool of every
+    vehicle. The `random` placement shares no network: its pools are built
+    per trial, one row each.
+    """
+
+    def __init__(self, setup: SimulationSetup):
+        n, h, delta = setup.n_nodes, setup.h, setup.num_segments
+        policy = setup.placement.policy
+        self.setup = setup
+        self.segdict = setup.segment_dictionary()
+        self.width = min(delta, h)
+        self.batch = BATCH
+        self.pools = None
+        if policy == "free":
+            check_sequence_count(count_valid_sequences(delta, h), n, delta, h)
+            caps = np.full((1, self.width), h)
+            self.pools = (caps, None, np.arange(1, n)[None, :], _completion_prefix(caps, h))
+        elif policy == "random":
+            cells = (self.width + 1) * (h + 2)
+            self.batch = max(1, min(BATCH, _TABLE_CELLS // cells))
+        else:
+            network = generate_network(setup.placement, n, self.segdict, rng=None)
+            total = count_feasible_sequences(network.segment_counts(), h)
+            check_sequence_count(total, n, delta, h)
+            self.pools = self._pools(np.array(network.vehicle_segments)[None, :])
+
+    def _pools(self, segs: np.ndarray) -> tuple:
+        """(caps, start, order, pre) of placements `segs` (rows, vehicles)."""
+        rows, delta = len(segs), self.setup.num_segments
+        counts = np.bincount(
+            (segs - 1 + delta * np.arange(rows)[:, None]).ravel(), minlength=rows * delta
+        ).reshape(rows, delta)[:, : self.width]
+        order = np.argsort(segs, axis=1, kind="stable") + 1
+        start = np.cumsum(counts, axis=1) - counts
+        return counts, start, order, _completion_prefix(counts, self.setup.h)
+
+    def sample(self, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Paths of the trials keyed by `seeds`, as `draw_trial_path` draws them.
+
+        Returns (drawn, paths, seqs): `drawn` marks the trials that have a
+        path; the others found no staffable sequence (`NoValidPath`).
+        """
+        setup, h, delta = self.setup, self.setup.h, self.setup.num_segments
+        rows = len(seeds)
+        keys = np.stack([seeds, _mix(seeds ^ _GAMMA)], axis=1)
+        pools = self.pools
+        # the random placement first draws every vehicle's fragment
+        place = setup.n_nodes - 1 if pools is None and delta > 1 else 0
+        half = half_words(keys, place + 1 + h)
+        redo = np.zeros(rows, dtype=bool)
+        if pools is None:
+            segs = np.ones((rows, setup.n_nodes - 1), dtype=np.int64)
+            if place:
+                draws, rejected = lemire(half[:, :place], np.full(place, delta))
+                segs += draws
+                redo |= rejected.any(axis=1)
+            pools = self._pools(segs)
+        pre = pools[3]
+        total = np.broadcast_to(pre[:, 0, h + 1] - pre[:, 0, h], (rows,))
+        redo |= total >= _RANK_CAP
+        drawn = redo | (total > 0)
+        live = np.flatnonzero(~redo & (total > 0))
+        paths = np.zeros((rows, h), dtype=np.int64)
+        seqs = np.zeros((rows, h), dtype=np.int64)
+        if len(live):
+            g = live if len(pre) > 1 else np.zeros(len(live), dtype=np.int64)
+            paths[live], seqs[live], rejected = self._draw(
+                half[live], total[live], pools, g, place
+            )
+            redo[live] |= rejected
+        for i in np.flatnonzero(redo):
+            rng = trial_rng(int(seeds[i]))
+            try:
+                path, seq = draw_trial_path(setup.placement, setup.n_nodes, self.segdict, h, rng)
+            except NoValidPath:
+                drawn[i] = False
+                continue
+            paths[i], seqs[i] = path, seq
+        return drawn, paths, seqs
+
+    def _draw(
+        self, half: np.ndarray, total: np.ndarray, pools: tuple, g: np.ndarray, place: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rank, unrank and Fisher-Yates for rows with 0 < total < 2^32.
+
+        Returns (paths, seqs, rejected); a rejected row's path is void.
+        """
+        caps, start, order, pre = pools
+        h = self.setup.h
+        rows = len(half)
+        rank, rejected = lemire(half[:, place], total)
+        blocks = _unrank(pre, caps, g, rank, h)
+        frag = np.repeat(np.tile(np.arange(self.width), rows), blocks.ravel()).reshape(rows, h)
+        if start is None:  # free: one pool, drawn position by position
+            at = np.broadcast_to(np.arange(h), (rows, h))
+            bound = order.shape[1] - at
+        else:
+            ends = np.cumsum(blocks, axis=1)
+            i = np.arange(h) - np.take_along_axis(ends - blocks, frag, axis=1)
+            at = start[g[:, None], frag] + i
+            bound = caps[g[:, None], frag] - i
+        # a draw of bound 1 consumes nothing: each draw reads the next unread half
+        consumed = bound > 1
+        read = place + (total > 1)[:, None] + np.cumsum(consumed, axis=1) - consumed
+        offset, fy_rejected = lemire(np.take_along_axis(half, read, axis=1), bound)
+        rejected |= fy_rejected.any(axis=1)
+
+        # partial Fisher-Yates on every row's own copy of its pools
+        work = order[g]
+        flat = work.ravel()
+        row_base = (np.arange(rows) * work.shape[1])[:, None]
+        lo_at = (row_base + at).T.copy()
+        hi_at = (row_base + at + offset).T.copy()
+        paths = np.empty((h, rows), dtype=np.int64)
+        for p in range(h):
+            a, b = lo_at[p], hi_at[p]
+            picked = flat[b]
+            flat[b] = flat[a]
+            flat[a] = picked
+            paths[p] = picked
+        return paths.T, frag + 1, rejected
+
+
+# ---------------------------------------------------------------------------
+# embed
+
+
+class _Packets(
+    namedtuple("_Packets", "seeds pids pid_bytes tag_edge tag_loc paths seqs bits1 bits2")
+):
+    """One batch of embedded packets, one row per drawn trial.
+
+    `tag_edge`/`tag_loc` are the seed tags of the two filters, `bits1` and
+    `bits2` their bits (edge filter, location filter).
+    """
+
+    __slots__ = ()
+
+
+def _embed(setup: SimulationSetup, seeds, pids, paths, seqs) -> _Packets:
+    """Both filters of every trial, as the relays of its path would fill them."""
+    batch, h = paths.shape
+    rows = np.arange(batch)[:, None, None]
+    pid_bytes = _le_bytes(pids, 8)
+    tag_edge = _mix(seeds + _GAMMA)
+    tag_loc = _mix(seeds + _U64(1) + _GAMMA)
+    prev, curr = paths[:, 1:], paths[:, :-1]
+    pid_2d = [b[:, None] for b in pid_bytes]
+    edge_h0 = _fnv(
+        (batch, h - 1),
+        [*_u16_field(prev), *_u16_field(curr), *_u64_field(pid_2d)],
+    )
+    loc_h0 = _fnv(
+        (batch, h),
+        [*_u16_field(paths), *_u16_field(seqs), *_u64_field(pid_2d)],
+    )
+    bits1 = np.zeros((batch, setup.m1), dtype=bool)
+    bits1[rows, _slot_indices(edge_h0, tag_edge[:, None], setup.m1, setup.k1)] = True
+    bits2 = np.zeros((batch, setup.m2), dtype=bool)
+    bits2[rows, _slot_indices(loc_h0, tag_loc[:, None], setup.m2, setup.k2)] = True
+    return _Packets(seeds, pids, pid_bytes, tag_edge, tag_loc, paths, seqs, bits1, bits2)
+
+
+# ---------------------------------------------------------------------------
+# probe and classify
+
+
+def _probe(bits: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """Filter membership of seeded key hashes (h0 ^ seed tag), level by level.
+
+    bits: (rows, m), one filter per row; keys: (rows, ...). Slot L is
+    computed only for the keys still positive after L levels, so no
+    (keys, k) index array exists and a sparse filter costs about one level.
+    """
+    rows, m = bits.shape
+    flat = bits.ravel()
+    per_row = keys[0].size
+    keys = keys.reshape(rows, per_row)
+    live = np.flatnonzero(flat[_slot(keys, 0, m) + (np.arange(rows) * m)[:, None]])
+    keys = keys.ravel()
+    for level in range(1, k):
+        live = live[flat[_slot(keys[live], level, m) + live // per_row * m]]
+    out = np.zeros(rows * per_row, dtype=bool)
+    out[live] = True
+    return out.reshape(rows, per_row)
+
+
+class _Universe(namedtuple("_Universe", "pair_prefix pair_lookup cell_pos cell_seg")):
+    """The keys a point's receiver probes, built once per point.
+
+    Edge keys: every ordered pair of relays, as `pair_prefix`, the FNV state
+    after each pair's 10 leading key bytes, and `pair_lookup`, mapping
+    a * n + b to the pair's column (-1 off the relay pairs). Pairs that
+    touch the receiver (node 0) are left out, because the path search runs
+    over the relays alone, so an edge there can change no recovery.
+    Location keys: the (position, fragment) cells an admissible sequence
+    can visit, fragment s at position i only for s <= i + 1.
+    """
+
+    __slots__ = ()
+
+
+def _universe(setup: SimulationSetup) -> _Universe:
+    n = setup.n_nodes
+    a = np.repeat(np.arange(1, n, dtype=np.uint64), n - 1)
+    b = np.tile(np.arange(1, n, dtype=np.uint64), n - 1)
     keep = a != b
     a, b = a[keep], b[keep]
     prefix = _fnv(a.shape, [*_u16_field(a), *_u16_field(b), 8, 0])
-    lookup = np.full(n_nodes * n_nodes, -1, dtype=np.int64)
-    lookup[(a * _U64(n_nodes) + b).astype(np.int64)] = np.arange(len(a))
-    return prefix, lookup, a
+    lookup = np.full(n * n, -1, dtype=np.int64)
+    lookup[(a * _U64(n) + b).astype(np.int64)] = np.arange(len(a))
+    pos, seg = np.nonzero(
+        np.arange(setup.num_segments)[None, :] <= np.arange(setup.h)[:, None]
+    )
+    return _Universe(prefix, lookup, pos, seg + 1)
+
+
+def _classify(setup: SimulationSetup, u: _Universe, pk: _Packets) -> np.ndarray:
+    """Outcome codes (indices into `_LABELS`) of one batch of packets."""
+    n, h, delta = setup.n_nodes, setup.h, setup.num_segments
+    paths, seqs, pid_bytes = pk.paths, pk.seqs, pk.pid_bytes
+    batch = len(paths)
+    rows = np.arange(batch)
+
+    # probe every relay pair; continue the cached prefix with pid bytes
+    acc = u.pair_prefix[None, :] ^ pid_bytes[0][:, None]
+    acc *= _PRIME
+    for j in range(1, 8):
+        acc ^= pid_bytes[j][:, None]
+        acc *= _PRIME
+    acc ^= pk.tag_edge[:, None]
+    edge_member = _probe(pk.bits1, acc, setup.k1)
+    del acc
+
+    true_pos = u.pair_lookup[(paths[:, 1:] * _U64(n) + paths[:, :-1]).astype(np.int64)]
+    if not (true_pos >= 0).all():
+        raise AssertionError("relay path holds a self-edge")
+    if not edge_member[rows[:, None], true_pos].all():
+        raise AssertionError("edge filter dropped a stored edge")
+    # one hop has no edge to pin the path down: every node is a candidate
+    clean = (edge_member.sum(axis=1) == h - 1) & (h >= 2)
+
+    # probe the admissible (position, fragment) cells of the true path
+    loc_h0 = _fnv(
+        (batch, len(u.cell_pos)),
+        [
+            *_u16_field(paths[:, u.cell_pos]),
+            *_u16_field(u.cell_seg.astype(np.uint64)),
+            *_u64_field([b[:, None] for b in pid_bytes]),
+        ],
+    )
+    loc_h0 ^= pk.tag_loc[:, None]
+    reach = np.zeros((batch, h, delta), dtype=bool)
+    reach[:, u.cell_pos, u.cell_seg - 1] = _probe(pk.bits2, loc_h0, setup.k2)
+    truth_cols = (seqs - _U64(1)).astype(np.int64)
+    if not reach[rows[:, None], np.arange(h)[None, :], truth_cols].all():
+        raise AssertionError("location filter dropped a stored pair")
+
+    # admissible-sequence count over the membership matrix, capped at 2
+    cur = np.zeros((batch, delta + 1), dtype=np.int64)
+    cur[:, 1] = reach[:, 0, 0]
+    for i in range(1, h):
+        nxt = np.zeros_like(cur)
+        nxt[:, 1:] = np.minimum(reach[:, i, :] * (cur[:, 1:] + cur[:, :-1]), 2)
+        cur = nxt
+    arrangements = cur.sum(axis=1)
+    if not (arrangements[clean] >= 1).all():
+        raise AssertionError("location filter lost the true arrangement")
+
+    codes = np.where(arrangements > 1, 1, 0)
+    for b in np.flatnonzero(~clean):
+        # extra edges recovered: replay full recovery on these bits
+        pkt = Clbf.create(
+            setup.m1, setup.k1, setup.m2, setup.k2, int(pk.seeds[b]), int(pk.pids[b])
+        )
+        pkt.edge_filter.load_bits(np.packbits(pk.bits1[b], bitorder="little").tobytes())
+        pkt.location_filter.load_bits(np.packbits(pk.bits2[b], bitorder="little").tobytes())
+        pkt.hop_count = h
+        label = recover_provenance(
+            pkt,
+            list(range(n)),
+            delta,
+            rsu=0,
+            truth=(tuple(map(int, paths[b])), tuple(map(int, seqs[b]))),
+        ).classification
+        codes[b] = _LABELS.index(label)
+    return codes
 
 
 def _run(
@@ -107,131 +554,30 @@ def _run(
     point_tag: int,
     labels: Optional[list[str]],
 ) -> tuple[int, int, int, int]:
-    n = setup.n_nodes
-    h = setup.h
-    delta = setup.num_segments
-    m1, k1, m2, k2 = setup.m1, setup.k1, setup.m2, setup.k2
-    segdict = setup.segment_dictionary()
-    pair_prefix, pair_lookup, _ = _pair_universe(n)
-    seg_axis = np.arange(1, delta + 1, dtype=np.uint64)[None, None, :]
-    pos_axis = np.arange(h, dtype=np.int64)[None, :]
-    n_unique = n_fp = n_miss = n_skip = 0
-
-    for t0 in range(0, trials, BATCH):
-        t1 = min(t0 + BATCH, trials)
-        seeds_l, pids_l, paths_l, seqs_l, idx_l = [], [], [], [], []
-        for t in range(t0, t1):
-            seed = derive_trial_seed(base_seed, point_tag, t)
-            rng = trial_rng(seed)
-            try:
-                path, seq = draw_trial_path(setup.placement, n, segdict, h, rng)
-            except NoValidPath:
-                n_skip += 1
-                if labels is not None:
-                    labels[t] = SKIPPED
-                continue
-            seeds_l.append(seed)
-            pids_l.append(trial_pid(point_tag, t))
-            paths_l.append(path)
-            seqs_l.append(seq)
-            idx_l.append(t)
-        if not seeds_l:
-            continue
-        batch = len(seeds_l)
-        rows = np.arange(batch)
-        seeds = np.array(seeds_l, dtype=np.uint64)
-        pids = np.array(pids_l, dtype=np.uint64)
-        path_arr = np.array(paths_l, dtype=np.uint64)
-        seq_arr = np.array(seqs_l, dtype=np.uint64)
-        pid_bytes = _le_bytes(pids, 8)
-
-        tag_edge = _mix(seeds + _GAMMA)
-        tag_loc = _mix(seeds + _U64(1) + _GAMMA)
-
-        # embed: h-1 relay edges, h location pairs
-        prev, curr = path_arr[:, 1:], path_arr[:, :-1]
-        pid_2d = [b[:, None] for b in pid_bytes]
-        edge_h0 = _fnv(
-            (batch, h - 1),
-            [*_u16_field(prev), *_u16_field(curr), *_u64_field(pid_2d)],
-        )
-        loc_h0 = _fnv(
-            (batch, h),
-            [*_u16_field(path_arr), *_u16_field(seq_arr), *_u64_field(pid_2d)],
-        )
-        bits1 = np.zeros((batch, m1), dtype=bool)
-        bits1[rows[:, None, None], _slot_indices(edge_h0, tag_edge[:, None], m1, k1)] = True
-        bits2 = np.zeros((batch, m2), dtype=bool)
-        bits2[rows[:, None, None], _slot_indices(loc_h0, tag_loc[:, None], m2, k2)] = True
-
-        # probe every ordered pair; continue the cached prefix with pid bytes
-        acc = pair_prefix[None, :]
-        for j in range(8):
-            acc = (acc ^ pid_bytes[j][:, None]) * _PRIME
-        probe_idx = _slot_indices(acc, tag_edge[:, None], m1, k1)
-        edge_member = bits1[rows[:, None, None], probe_idx].all(axis=2)
-
-        true_pos = pair_lookup[(prev * _U64(n) + curr).astype(np.int64)]
-        if not (true_pos >= 0).all():
-            raise AssertionError("relay path holds a self-edge")
-        if not edge_member[rows[:, None], true_pos].all():
-            raise AssertionError("edge filter dropped a stored edge")
-        # one hop has no edge to pin the path down: every node is a candidate
-        clean = (edge_member.sum(axis=1) == h - 1) & (h >= 2)
-
-        # probe every (position, fragment) pair of the true path
-        node3 = path_arr[:, :, None]
-        pid_3d = [b[:, None, None] for b in pid_bytes]
-        loc_probe_h0 = _fnv(
-            (batch, h, delta),
-            [*_u16_field(node3), *_u16_field(seg_axis), *_u64_field(pid_3d)],
-        )
-        loc_idx = _slot_indices(loc_probe_h0, tag_loc[:, None, None], m2, k2)
-        reach = bits2[rows[:, None, None, None], loc_idx].all(axis=3)
-        truth_cols = (seq_arr - _U64(1)).astype(np.int64)
-        if not reach[rows[:, None], pos_axis, truth_cols].all():
-            raise AssertionError("location filter dropped a stored pair")
-
-        # admissible-sequence count over the membership matrix, capped at 2
-        cur = np.zeros((batch, delta + 1), dtype=np.int64)
-        cur[:, 1] = reach[:, 0, 0]
-        for i in range(1, h):
-            nxt = np.zeros_like(cur)
-            nxt[:, 1:] = np.minimum(reach[:, i, :] * (cur[:, 1:] + cur[:, :-1]), 2)
-            cur = nxt
-        arrangements = cur.sum(axis=1)
-        if not (arrangements[clean] >= 1).all():
-            raise AssertionError("location filter lost the true arrangement")
-
-        for b in range(batch):
-            if clean[b]:
-                label = FALSE_POSITIVE if arrangements[b] > 1 else UNIQUE
-            else:
-                # extra edges recovered: replay full recovery on these bits
-                pkt = Clbf.create(m1, k1, m2, k2, int(seeds[b]), int(pids[b]))
-                pkt.edge_filter.load_bits(
-                    np.packbits(bits1[b], bitorder="little").tobytes()
-                )
-                pkt.location_filter.load_bits(
-                    np.packbits(bits2[b], bitorder="little").tobytes()
-                )
-                pkt.hop_count = h
-                label = recover_provenance(
-                    pkt,
-                    list(range(n)),
-                    delta,
-                    rsu=0,
-                    truth=(paths_l[b], seqs_l[b]),
-                ).classification
-            if label == UNIQUE:
-                n_unique += 1
-            elif label == FALSE_POSITIVE:
-                n_fp += 1
-            else:
-                n_miss += 1
-            if labels is not None:
-                labels[idx_l[b]] = label
-    return n_unique, n_fp, n_miss, n_skip
+    trial_pid(point_tag, max(trials - 1, 0))  # both fields must fit their u32 halves
+    law = _PathLaw(setup)
+    universe = _universe(setup)
+    tally = np.zeros(len(_LABELS), dtype=np.int64)
+    for t0 in range(0, trials, law.batch):
+        t = np.arange(t0, min(t0 + law.batch, trials), dtype=np.uint64)
+        seeds = _trial_seeds(base_seed, point_tag, t)
+        drawn, paths, seqs = law.sample(seeds)
+        codes = np.full(len(t), _LABELS.index(SKIPPED))
+        if drawn.any():
+            pk = _embed(
+                setup,
+                seeds[drawn],
+                (_U64(point_tag << 32) | t)[drawn],
+                paths[drawn].astype(np.uint64),
+                seqs[drawn].astype(np.uint64),
+            )
+            codes[drawn] = _classify(setup, universe, pk)
+        tally += np.bincount(codes, minlength=len(_LABELS))
+        if labels is not None:
+            for trial, code in zip(t.tolist(), codes.tolist()):
+                labels[trial] = _LABELS[code]
+    unique, fp, miss, skipped = (int(x) for x in tally)
+    return unique, fp, miss, skipped
 
 
 def run_point_counts(
@@ -263,12 +609,11 @@ def occupancy_counts(
     if m2 < 1 or k2 < 1 or h < 1 or trials < 1:
         raise ValueError("m2, k2, h, trials must all be positive")
     out = np.empty(trials, dtype=np.int64)
-    stage = mix64((base_seed + GAMMA) & _MASK64)
     node_axis = np.arange(h, dtype=np.uint64)[None, :]
     for t0 in range(0, trials, 4096):
         t1 = min(t0 + 4096, trials)
         t_arr = np.arange(t0, t1, dtype=np.uint64)
-        seeds = _mix(_U64(stage) + (t_arr + _U64(1)) * _GAMMA)
+        seeds = _trial_seeds(base_seed, 0, t_arr)
         tags = _mix(seeds + _GAMMA)
         pid_bytes = [b[:, None] for b in _le_bytes(t_arr, 8)]
         h0 = _fnv(

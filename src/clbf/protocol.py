@@ -298,9 +298,20 @@ def recover_provenance(
     ``truth`` is the embedded (path, sequence) when the caller knows it,
     e.g. in simulation; without it a miss is only detectable as an empty
     arrangement set.
+
+    Raises ParameterError when the packet's hop count is 0 (nothing was
+    embedded) or exceeds the number of relay candidates (no simple chain
+    of that length exists over ``nodes``).
     """
-    edges = recover_edges(clbf, nodes)
     candidates = [n for n in nodes if n != rsu]
+    if clbf.hop_count < 1:
+        raise ParameterError("packet hop_count is 0: no hop was embedded")
+    if clbf.hop_count > len(candidates):
+        raise ParameterError(
+            f"packet hop_count {clbf.hop_count} exceeds the {len(candidates)} "
+            "relay candidates among the probed nodes"
+        )
+    edges = recover_edges(clbf, nodes)
     paths = recover_paths(edges, candidates, clbf.hop_count, cap=path_cap)
     arrangements = []
     for path in paths:

@@ -14,7 +14,17 @@ replayed in isolation. Results never depend on execution order or batching.
 
 `run_point` runs every point on the vectorized `_batch` engine. `run_trial`
 is the plain reference it must match (build the packet object, run full
-recovery); the test suite holds the two to per-trial equality.
+recovery); the test suite holds the two to per-trial equality. The scalar
+draws here (`trial_rng` + `draw_trial_path`) stay the definition of a
+trial's path: the batch engine replays the same Philox stream over arrays
+and comes back to them only for a trial whose draws hit a Lemire rejection
+or whose sequence count reaches 2^32 (numpy then draws 64-bit words).
+
+The sequence rank is drawn as an int64, so a route with 2^63 or more
+feasible fragment sequences is refused with a `ParameterError` naming n,
+delta and hops. Where the placement fixes that count (every policy but
+`random`) the batch engine refuses the point before any trial; otherwise
+the scalar draw refuses the first trial that reaches it.
 
 Path sampling is uniform over the feasible fragment sequences (those whose
 per-fragment multiplicities the placement can staff), then uniform over the
@@ -61,6 +71,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+RANK_LIMIT = 1 << 63  # Generator.integers draws the sequence rank as an int64
 
 Z95 = 1.959963984540054
 
@@ -205,6 +217,15 @@ def count_feasible_sequences(counts: Sequence[int], h: int) -> int:
     return _completion_table(tuple(counts), h)[0][h]
 
 
+def check_sequence_count(total: int, n_nodes: int, num_segments: int, h: int) -> None:
+    """Refuse a feasible-sequence count the int64 rank draw cannot cover."""
+    if total >= RANK_LIMIT:
+        raise ParameterError(
+            f"n={n_nodes}, delta={num_segments}, hops={h}: {total} feasible fragment "
+            "sequences exceed the rank draw's int64 range; use fewer hops or fragments"
+        )
+
+
 def _sample_block(pool: Sequence[int], b: int, rng: np.random.Generator) -> list[int]:
     # partial Fisher-Yates; one integers() draw per selected vehicle
     work = list(pool)
@@ -256,6 +277,7 @@ def generate_path(
     total = table[0][h]
     if total == 0:
         raise NoValidPath("no admissible fragment sequence is staffable")
+    check_sequence_count(total, network.n_nodes, network.num_segments, h)
     blocks = _unrank_blocks(counts, h, table, int(rng.integers(total)))
     path: list[int] = []
     seq: list[int] = []
@@ -283,6 +305,7 @@ def generate_free_path(
     # capacity h per fragment removes the staffing limit entirely
     counts = (h,) * num_segments
     table = _completion_table(counts, h)
+    check_sequence_count(table[0][h], n_nodes, num_segments, h)
     blocks = _unrank_blocks(counts, h, table, int(rng.integers(table[0][h])))
     path = _sample_block(range(1, n_nodes), h, rng)
     seq: list[int] = []

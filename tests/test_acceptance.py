@@ -160,7 +160,7 @@ def test_a6_no_false_negatives_across_randomized_trials():
     tag = 0
     while classified < SOAK_TRIALS:
         delta = int(meta.integers(2, 7))
-        h = int(meta.integers(1, 8))  # h=1 exercises the reference engine
+        h = int(meta.integers(1, 8))  # h=1 takes the batch engine's fallback
         setup = SimulationSetup(
             n_nodes=h + 1 + int(meta.integers(0, 5)),
             num_segments=delta,

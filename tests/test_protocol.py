@@ -218,5 +218,19 @@ def test_recover_provenance_excludes_the_receiver_from_chains():
         assert 0 not in path
 
 
+def test_recover_provenance_rejects_a_packet_without_hops():
+    pkt = make_packet()
+    with pytest.raises(ParameterError, match="hop_count is 0"):
+        recover_provenance(pkt, nodes=range(4), num_segments=3, rsu=0)
+
+
+def test_recover_provenance_rejects_more_hops_than_relay_candidates():
+    pkt = make_packet(m1=4096, k1=6, m2=2048, k2=6)
+    embed_chain(pkt, (3, 1, 2), (1, 1, 2))
+    # nodes 0..2 leave two relays besides the receiver, too few for 3 hops
+    with pytest.raises(ParameterError, match="hop_count 3 exceeds the 2 relay candidates"):
+        recover_provenance(pkt, nodes=range(3), num_segments=3, rsu=0)
+
+
 def test_classification_labels():
     assert (UNIQUE, FALSE_POSITIVE, MISS) == ("unique", "false_positive", "miss")

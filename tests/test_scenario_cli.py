@@ -212,6 +212,22 @@ def test_cli_simulate_hops_past_the_hop_counter(tmp_path, capsys):
     assert "hop counter" in capsys.readouterr().err
 
 
+def test_cli_simulate_sequence_count_past_int64(tmp_path, capsys):
+    # sum of C(65, j) for j < 40 admissible sequences: about 2^65
+    scenario = tmp_path / "wide.ini"
+    scenario.write_text(
+        GOOD.replace("n = 6", "n = 70")
+        .replace("delta = 3", "delta = 40")
+        .replace("placement = balanced_prefix", "placement = free")
+        .replace("hops = 4", "hops = 66")
+    )
+    rc = main(["simulate", "--scenario", str(scenario), "--trials", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "n=70, delta=40, hops=66" in err
+    assert "int64" in err
+
+
 def test_cli_optimize_k2_mode(capsys):
     rc = main(["optimize", "--m2", "64", "--hops", "4", "--delta", "3"])
     assert rc == 0

@@ -1,5 +1,7 @@
 """Monte Carlo driver: sampling laws, seeding, and engine agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from clbf import _batch
 from clbf.bloom import ParameterError, fnv1a64, mix64, _seed_tag
 from clbf.protocol import FALSE_POSITIVE, MISS, UNIQUE, edge_key, location_key
+from clbf.scenario import PRESETS, load_preset
 from clbf.segments import SegmentDictionary, enumerate_valid_sequences, is_valid_sequence
 from clbf.simulate import (
     PLACEMENT_POLICIES,
+    SWEEPABLE,
     Network,
     NoValidPath,
     PlacementSpec,
@@ -248,6 +252,141 @@ def test_batch_slot_indices_match_the_scalar_hash():
     )
     from clbf.bloom import hash_indices
     assert idx[0].tolist() == hash_indices(edge_key(1, 2, 3), 97, 5, seed)
+
+
+# ---------------------------------------------------------------------------
+# batch sampler: numpy's Philox stream, replayed over arrays
+
+
+def test_philox_words_match_random_raw():
+    keys = np.random.default_rng(3).integers(0, 2**64, size=(200, 2), dtype=np.uint64)
+    keys[:3] = [[0, 0], [2**64 - 1, 2**64 - 1], [1, 2**63]]
+    words = _batch.philox_words(keys, 3)
+    for key, row in zip(keys, words):
+        assert np.array_equal(row, np.random.Philox(key=key).random_raw(12))
+
+
+def test_lemire_draws_match_integers_and_flag_rejections():
+    # bounds just past 2^31 reject close to half of all 32-bit draws; bound
+    # 1 reads nothing, so the following bound-5 draw reads the first half
+    keys = np.random.default_rng(4).integers(0, 2**64, size=(400, 2), dtype=np.uint64)
+    half = _batch.half_words(keys, 2)
+    bound = 2**31 + 12345
+    values, rejected = _batch.lemire(half[:, 0], np.full(len(keys), bound))
+    again, _ = _batch.lemire(half[:, 0], np.full(len(keys), 5))
+    assert 100 < rejected.sum() < 300
+    for i, key in enumerate(keys):
+        gen = np.random.Generator(np.random.Philox(key=key))
+        got = int(gen.integers(bound))
+        if not rejected[i]:
+            assert got == values[i]
+        gen = np.random.Generator(np.random.Philox(key=key))
+        assert int(gen.integers(1)) == 0 and int(gen.integers(5)) == again[i]
+
+
+def assert_sampler_matches_draw_trial_path(setup, trials, base_seed, monkeypatch):
+    """The batch sampler's (path, fragments, skipped) equals the scalar draw, trial by trial.
+
+    Returns how many trials the sampler sent back through the scalar path.
+    """
+    redone = []
+    scalar = _batch.draw_trial_path
+    monkeypatch.setattr(_batch, "draw_trial_path", lambda *a: redone.append(1) or scalar(*a))
+    law = _batch._PathLaw(setup)
+    seeds = _batch._trial_seeds(base_seed, 1, np.arange(trials, dtype=np.uint64))
+    assert [int(s) for s in seeds] == [derive_trial_seed(base_seed, 1, t) for t in range(trials)]
+    segdict = setup.segment_dictionary()
+    for t0 in range(0, trials, law.batch):
+        drawn, paths, seqs = law.sample(seeds[t0 : t0 + law.batch])
+        for i, seed in enumerate(seeds[t0 : t0 + law.batch]):
+            rng = trial_rng(int(seed))
+            try:
+                path, seq = scalar(setup.placement, setup.n_nodes, segdict, setup.h, rng)
+            except NoValidPath:
+                assert not drawn[i]
+                continue
+            assert drawn[i]
+            assert (tuple(paths[i]), tuple(seqs[i])) == (path, seq)
+    return len(redone)
+
+
+SAMPLER_CASES = [
+    (PlacementSpec("uniform_per_segment", per_segment=2), 8, 4, 5),
+    (PlacementSpec("balanced_prefix"), 9, 5, 6),
+    (PlacementSpec("balanced_prefix"), 9, 1, 3),
+    (PlacementSpec("random"), 10, 4, 4),  # about one trial in ten is skipped
+    (PlacementSpec("random"), 10, 1, 4),  # one fragment: the placement draws nothing
+    (PlacementSpec("random"), 10, 4, 1),
+    (PlacementSpec("random"), 67, 6, 64),
+    (PlacementSpec("explicit", segments=(1, 2, 2, 3, 3, 4)), 7, 4, 5),
+    (PlacementSpec("explicit", segments=(2, 2, 3)), 4, 3, 2),  # nobody in fragment 1
+    (PlacementSpec("free"), 8, 6, 5),
+    (PlacementSpec("free"), 8, 3, 1),
+    (PlacementSpec("free"), 70, 5, 66),
+]
+
+
+@pytest.mark.parametrize("placement,n,delta,h", SAMPLER_CASES)
+def test_batch_sampler_matches_draw_trial_path(placement, n, delta, h, monkeypatch):
+    setup = small_setup(placement=placement, n_nodes=n, num_segments=delta, h=h)
+    assert assert_sampler_matches_draw_trial_path(setup, 600, 17, monkeypatch) == 0
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_batch_sampler_matches_draw_trial_path_on_presets(preset, monkeypatch):
+    scn = load_preset(preset)
+    param, values = scn.sweep
+    for value in values if param == "delta" else values[:1]:
+        setup = replace(scn.setup, **{SWEEPABLE[param]: value})
+        redone = assert_sampler_matches_draw_trial_path(setup, 512, scn.base_seed, monkeypatch)
+        assert redone == 0
+
+
+def test_batch_sampler_redoes_rejected_draws_on_the_scalar_path(monkeypatch):
+    # sum of C(32, j) for j <= 16 = 2^31 + 300540195 sequences: the rank
+    # draw rejects about 43% of its 32-bit draws, and numpy draws again
+    setup = small_setup(placement=PlacementSpec("free"), n_nodes=40, num_segments=17, h=33)
+    redone = assert_sampler_matches_draw_trial_path(setup, 200, 5, monkeypatch)
+    assert 50 < redone < 130
+
+
+def test_batch_sampler_redoes_64_bit_rank_draws(monkeypatch):
+    # 2^33 - 1 sequences: numpy draws the rank from full 64-bit words
+    setup = small_setup(placement=PlacementSpec("free"), n_nodes=40, num_segments=33, h=34)
+    assert assert_sampler_matches_draw_trial_path(setup, 40, 5, monkeypatch) == 40
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_batch_sampler_matches_on_drawn_setups(data):
+    policy = data.draw(st.sampled_from(PLACEMENT_POLICIES))
+    delta = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(2, 24))
+    if policy == "uniform_per_segment":
+        per = data.draw(st.integers(1 + (delta == 1), 4))
+        n, placement = per * delta, PlacementSpec(policy, per_segment=per)
+    else:
+        segs = st.lists(st.integers(1, delta), min_size=n - 1, max_size=n - 1)
+        segments = tuple(data.draw(segs)) if policy == "explicit" else None
+        placement = PlacementSpec(policy, segments=segments)
+    setup = small_setup(
+        placement=placement, n_nodes=n, num_segments=delta, h=data.draw(st.integers(1, n - 1))
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_sampler_matches_draw_trial_path(
+            setup, 64, data.draw(st.integers(0, 2**32 - 1)), monkeypatch
+        )
+
+
+def test_sequence_count_past_int64_is_refused_before_any_trial(monkeypatch):
+    # sum of C(65, j) for j < 40 admissible sequences, about 2^65
+    setup = small_setup(placement=PlacementSpec("free"), n_nodes=70, num_segments=40, h=66)
+    monkeypatch.setattr(_batch, "trial_rng", None)  # no trial may start
+    with pytest.raises(ParameterError, match="n=70, delta=40, hops=66"):
+        run_point(setup, 4, base_seed=1)
+    monkeypatch.undo()
+    with pytest.raises(ParameterError, match="n=70, delta=40, hops=66"):
+        run_trial(setup, 1, 0, 0)
 
 
 def reference_labels(setup, trials, base_seed, point_tag):
