@@ -18,23 +18,24 @@ scalar `trial_rng` + `draw_trial_path` only when one of its draws hit a
 Lemire rejection, or when its sequence count reaches 2^32, which numpy
 draws from full 64-bit words.
 
-Embed. The hash pipeline reproduces `bloom.hash_indices` bit for bit and
-sets every trial's filter bits.
+Embed. Every trial's keys are hashed by `bloom`'s array form of
+`hash_indices` (FNV-1a over key-byte columns, then the seeded slots), which
+sets its filter bits.
 
 Probe and classify. Every ordered pair of relays is probed against the
 edge filter and every admissible (position, fragment) cell of the true path
-against the location filter, level by level: slot L is computed only for
-keys still positive after L levels. When a path of two or more hops gets
-exactly its true relay edges back from the edge filter, the edge set is a
-single directed chain, so the only simple path of full length is the true
-one, and counting provenance candidates reduces to a dynamic program,
-saturating at 2, over the location filter's (position, fragment)
-membership matrix.
+against the location filter, through `bloom`'s level-by-level probe, the
+one the receiver runs: slot L is computed only for keys still positive
+after L levels. When a path of two or more hops gets exactly its true
+relay edges back from the edge filter, the edge set is a single directed
+chain, so the only simple path of full length is the true one, and
+counting provenance candidates reduces to a dynamic program, saturating at
+2, over the location filter's (position, fragment) membership matrix.
 Single-hop trials, and trials where the edge filter returned anything
 extra, fall back to the reference recovery on a packet rebuilt from the
 very same filter bits.
 
-Key byte layouts are frozen here as flat streams (u16 length prefix before
+Keys are laid out as `bloom`'s byte columns (u16 length prefix before
 every field, values little-endian); a unit test pins them against
 `protocol.edge_key`/`location_key`.
 """
@@ -46,7 +47,19 @@ from typing import Optional
 
 import numpy as np
 
-from .bloom import FNV_OFFSET, FNV_PRIME, GAMMA, _MIX_A, _MIX_B, mix64
+from .bloom import (
+    GAMMA,
+    _GAMMA,
+    _PRIME,
+    _fnv,
+    _le_bytes,
+    _mix,
+    _probe,
+    _slots,
+    _u16_field,
+    _u64_field,
+    mix64,
+)
 from .protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, recover_provenance
 from .segments import count_valid_sequences
 from .simulate import (
@@ -64,11 +77,6 @@ __all__ = ["occupancy_counts", "run_point_classifications", "run_point_counts"]
 
 _MASK64 = (1 << 64) - 1
 _U64 = np.uint64
-_OFFSET = _U64(FNV_OFFSET)
-_PRIME = _U64(FNV_PRIME)
-_GAMMA = _U64(GAMMA)
-_A = _U64(_MIX_A)
-_B = _U64(_MIX_B)
 _LO32 = _U64(0xFFFFFFFF)
 _32 = _U64(32)
 
@@ -86,56 +94,6 @@ _PHILOX_W = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
 _HALVES_PER_BLOCK = 8
 # a rank bound at or past this takes numpy's 64-bit draw: scalar path
 _RANK_CAP = 1 << 32
-
-
-# The hashing below works in place where it can: a fresh large array costs
-# more to fault in than the arithmetic done on it.
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer of a fresh array, computed in place."""
-    x ^= x >> _U64(30)
-    x *= _A
-    x ^= x >> _U64(27)
-    x *= _B
-    x ^= x >> _U64(31)
-    return x
-
-
-def _fnv(shape: tuple[int, ...], terms) -> np.ndarray:
-    acc = np.full(shape, _OFFSET, dtype=np.uint64)
-    for t in terms:
-        acc ^= t if isinstance(t, np.ndarray) else _U64(t)
-        acc *= _PRIME
-    return acc
-
-
-def _le_bytes(values: np.ndarray, width: int) -> list[np.ndarray]:
-    return [(values >> _U64(8 * j)) & _U64(0xFF) for j in range(width)]
-
-
-def _u16_field(values: np.ndarray) -> list:
-    # u16 length prefix (2, 0) then the two value bytes, little-endian
-    return [2, 0, *_le_bytes(values, 2)]
-
-
-def _u64_field(values_bytes: list) -> list:
-    return [8, 0, *values_bytes]
-
-
-def _slot(base: np.ndarray, level: int, m: int) -> np.ndarray:
-    """Slot `level` of seeded key hashes `base` (= h0 ^ seed tag) in an m-bit filter."""
-    x = _mix(base ^ _U64(((level + 1) * GAMMA) & _MASK64))
-    np.remainder(x, _U64(m), out=x)
-    return x.view(np.int64)
-
-
-def _slot_indices(h0: np.ndarray, tag: np.ndarray, m: int, k: int) -> np.ndarray:
-    """All k slots of every key, stacked on a last axis."""
-    levels = np.arange(1, k + 1, dtype=np.uint64) * _GAMMA  # (L + 1) * GAMMA mod 2^64
-    x = _mix((h0 ^ tag)[..., None] ^ levels)
-    np.remainder(x, _U64(m), out=x)
-    return x.view(np.int64)
 
 
 def _trial_seeds(base_seed: int, point_tag: int, trials: np.ndarray) -> np.ndarray:
@@ -415,34 +373,14 @@ def _embed(setup: SimulationSetup, seeds, pids, paths, seqs) -> _Packets:
         [*_u16_field(paths), *_u16_field(seqs), *_u64_field(pid_2d)],
     )
     bits1 = np.zeros((batch, setup.m1), dtype=bool)
-    bits1[rows, _slot_indices(edge_h0, tag_edge[:, None], setup.m1, setup.k1)] = True
+    bits1[rows, _slots(edge_h0 ^ tag_edge[:, None], setup.m1, 0, setup.k1)] = True
     bits2 = np.zeros((batch, setup.m2), dtype=bool)
-    bits2[rows, _slot_indices(loc_h0, tag_loc[:, None], setup.m2, setup.k2)] = True
+    bits2[rows, _slots(loc_h0 ^ tag_loc[:, None], setup.m2, 0, setup.k2)] = True
     return _Packets(seeds, pids, pid_bytes, tag_edge, tag_loc, paths, seqs, bits1, bits2)
 
 
 # ---------------------------------------------------------------------------
 # probe and classify
-
-
-def _probe(bits: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
-    """Filter membership of seeded key hashes (h0 ^ seed tag), level by level.
-
-    bits: (rows, m), one filter per row; keys: (rows, ...). Slot L is
-    computed only for the keys still positive after L levels, so no
-    (keys, k) index array exists and a sparse filter costs about one level.
-    """
-    rows, m = bits.shape
-    flat = bits.ravel()
-    per_row = keys[0].size
-    keys = keys.reshape(rows, per_row)
-    live = np.flatnonzero(flat[_slot(keys, 0, m) + (np.arange(rows) * m)[:, None]])
-    keys = keys.ravel()
-    for level in range(1, k):
-        live = live[flat[_slot(keys[live], level, m) + live // per_row * m]]
-    out = np.zeros(rows * per_row, dtype=bool)
-    out[live] = True
-    return out.reshape(rows, per_row)
 
 
 class _Universe(namedtuple("_Universe", "pair_prefix pair_lookup cell_pos cell_seg")):
@@ -620,7 +558,7 @@ def occupancy_counts(
             (t1 - t0, h),
             [*_u16_field(node_axis), 2, 0, 1, 0, *_u64_field(pid_bytes)],
         )
-        idx = _slot_indices(h0, tags[:, None], m2, k2)
+        idx = _slots(h0 ^ tags[:, None], m2, 0, k2)
         bits = np.zeros((t1 - t0, m2), dtype=bool)
         bits[np.arange(t1 - t0)[:, None, None], idx] = True
         out[t0:t1] = bits.sum(axis=1)

@@ -22,8 +22,12 @@ the per-key index set to two degrees of freedom, which visibly distorts the
 occupied-bit distribution on small filters (two hashes of one key can then
 never land on the same bit).
 
-The same scheme is reproduced in vectorized form by the simulation engine;
-a fixture test keeps the two implementations bit-identical.
+The scheme's only vectorized form lives here too: FNV-1a over columns of
+key bytes, the seeded slot of every level, and a probe that tests arrays of
+key hashes level by level, computing slot L only for the keys still
+positive after L levels. The receiver (`BloomFilter.contains_hashes`) and
+the simulation engine both use it; a property test keeps it equal to the
+scalar `contains` key by key.
 
 Serialization is little-endian: a 14-byte header (m: u32, k: u16,
 seed: u64) followed by ceil(m / 8) bytes of bits packed LSB-first.
@@ -32,6 +36,8 @@ seed: u64) followed by ceil(m / 8) bytes of bits packed LSB-first.
 from __future__ import annotations
 
 import struct
+
+import numpy as np
 
 __all__ = [
     "BloomFilter",
@@ -54,6 +60,13 @@ _MIX_B = 0x94D049BB133111EB
 _HEADER = struct.Struct("<IHQ")
 
 MAX_BITS = 2**32 - 1
+
+_U64 = np.uint64
+_OFFSET = _U64(FNV_OFFSET)
+_PRIME = _U64(FNV_PRIME)
+_GAMMA = _U64(GAMMA)
+_A = _U64(_MIX_A)
+_B = _U64(_MIX_B)
 
 
 class ParameterError(ValueError):
@@ -102,6 +115,95 @@ def hash_indices(key: bytes, m: int, k: int, seed: int) -> list[int]:
     return [mix64(h0 ^ tag ^ (((L + 1) * GAMMA) & _MASK64)) % m for L in range(k)]
 
 
+# ---------------------------------------------------------------------------
+# the same hashes over uint64 arrays; they work in place where they can,
+# because a fresh large array costs more to fault in than the arithmetic
+# done on it
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """`mix64` of a fresh array, computed in place."""
+    x ^= x >> _U64(30)
+    x *= _A
+    x ^= x >> _U64(27)
+    x *= _B
+    x ^= x >> _U64(31)
+    return x
+
+
+def _fnv(shape: tuple[int, ...], terms) -> np.ndarray:
+    """`fnv1a64` of keys given as byte columns, broadcast to `shape`.
+
+    Each term is one key byte: a scalar or an array. The state only grows
+    to the broadcast shape of the terms seen so far, so bytes shared along
+    an axis are hashed once, and a zero byte costs no XOR.
+    """
+    acc = np.array(_OFFSET)
+    for t in terms:
+        if isinstance(t, np.ndarray) and np.broadcast(acc, t).shape != acc.shape:
+            acc = acc ^ t
+        elif isinstance(t, np.ndarray) or t:
+            acc ^= t
+        acc *= _PRIME
+    return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
+
+
+def _le_bytes(values: np.ndarray, width: int) -> list[np.ndarray]:
+    return [(values >> _U64(8 * j)) & _U64(0xFF) for j in range(width)]
+
+
+def _u16_field(values: np.ndarray) -> list:
+    """The byte columns `encode_key` writes for a u16 field: length prefix (2, 0), value LE."""
+    return [2, 0, *_le_bytes(values, 2)]
+
+
+def _u64_field(values_bytes: list) -> list:
+    """The byte columns of a u64 field, from its eight little-endian byte columns."""
+    return [8, 0, *values_bytes]
+
+
+def _slots(base: np.ndarray, m: int, first: int, stop: int) -> np.ndarray:
+    """Slots first..stop-1 of seeded key hashes `base` (= h0 ^ seed tag) in an
+    m-bit filter, on a last axis; `hash_indices` for first=0, stop=k."""
+    levels = np.arange(first + 1, stop + 1, dtype=np.uint64) * _GAMMA  # (L + 1) * GAMMA mod 2^64
+    x = _mix(base[..., None] ^ levels)
+    np.remainder(x, _U64(m), out=x)
+    return x.view(np.int64)
+
+
+# Slots hashed per probe pass. A pass over few live keys hashes several
+# levels at once: below this many slots a pass costs more in per-call
+# overhead than the slots of keys that an earlier level would have dropped.
+_PASS_SLOTS = 4096
+
+
+def _probe(bits: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """Filter membership of seeded key hashes (h0 ^ seed tag), level by level.
+
+    bits: (rows, m) bool, one filter per row; keys: (rows, ...). A pass
+    hashes the next levels only for the keys still positive, and as many
+    levels as fit `_PASS_SLOTS` (at least one), so no (keys, k) index array
+    exists for many keys and a sparse filter costs about one level.
+    """
+    rows, m = bits.shape
+    flat = bits.ravel()
+    per_row = keys[0].size
+    keys = keys.reshape(rows, per_row)
+    stop = min(k, max(1, _PASS_SLOTS // max(keys.size, 1)))
+    idx = _slots(keys, m, 0, stop)
+    idx += (np.arange(rows) * m)[:, None, None]
+    live = np.flatnonzero(flat[idx].all(axis=-1))
+    keys = keys.ravel()
+    while stop < k and len(live):
+        level, stop = stop, min(k, stop + max(1, _PASS_SLOTS // len(live)))
+        idx = _slots(keys[live], m, level, stop)
+        idx += (live // per_row * m)[:, None]
+        live = live[flat[idx].all(axis=-1)]
+    out = np.zeros(rows * per_row, dtype=bool)
+    out[live] = True
+    return out.reshape(rows, per_row)
+
+
 class BloomFilter:
     """Fixed-geometry Bloom filter.
 
@@ -136,6 +238,18 @@ class BloomFilter:
     def contains(self, key: bytes) -> bool:
         bits = self._bits
         return all(bits[idx >> 3] & (1 << (idx & 7)) for idx in self._indices(key))
+
+    def contains_hashes(self, h0: np.ndarray) -> np.ndarray:
+        """`contains` of every key whose FNV-1a hash is in `h0` (uint64), elementwise.
+
+        Unpacks the filter to one byte per bit for the call, which is small
+        at in-packet sizes.
+        """
+        bits = np.unpackbits(
+            np.frombuffer(self._bits, dtype=np.uint8), count=self.m, bitorder="little"
+        ).view(bool)
+        keys = (h0 ^ _U64(self._tag)).reshape(1, -1)
+        return _probe(bits[None, :], keys, self.k).reshape(np.shape(h0))
 
     def popcount(self) -> int:
         """Number of set bits."""

@@ -8,14 +8,17 @@ location; the roadside unit receiving the final hop embeds nothing. After
 h hops the packet therefore holds h location pairs and h-1 edges, and its
 hop counter reads h.
 
-Recovery runs entirely on the receiver: probe all ordered node pairs
-against the edge filter, chain the positives into simple h-node relay
-paths, probe every (path node, fragment) pair against the location filter,
-and keep the fragment sequences that are admissible. Each surviving
-(path, sequence) combination is one provenance candidate ("arrangement").
-Exactly one arrangement means unambiguous provenance; several mean a false
-positive; a missing true arrangement can never happen because the filters
-have no false negatives.
+Recovery runs entirely on the receiver: hash all ordered node pairs as
+arrays and probe them against the edge filter in one pass, chain the
+positives into simple h-node relay paths, probe every (node, fragment)
+pair of the nodes on those paths against the location filter once per
+packet, and walk each path's admissible fragment sequences over that one
+membership table. Location keys do not depend on path position, so the
+table serves every candidate path. Each surviving (path, sequence)
+combination is one provenance candidate ("arrangement"). Exactly one
+arrangement means unambiguous provenance; several mean a false positive; a
+missing true arrangement can never happen because the filters have no
+false negatives.
 
 Node paths are listed RSU-outward (first element = the final relay,
 last element = the source), matching the segment-sequence convention.
@@ -32,7 +35,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .bloom import BloomFilter, ParameterError, encode_key
+import numpy as np
+
+from .bloom import BloomFilter, ParameterError, _fnv, _u16_field, _u64_field, encode_key
 from .segments import ResourceCapError, is_valid_sequence
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "RecoveryOutcome",
     "edge_key",
     "location_key",
+    "location_table",
     "recover_edges",
     "recover_locations",
     "recover_paths",
@@ -164,15 +170,32 @@ class Clbf:
 # recovery
 
 
+def _node_ids(nodes: Iterable[int]) -> np.ndarray:
+    """The distinct ids of ``nodes``, ascending, checked against the u16 range."""
+    ids = sorted(set(nodes))
+    if ids:  # before the cast, which would wrap a negative id
+        _u16(ids[0], "node id")
+        _u16(ids[-1], "node id")
+    return np.array(ids, dtype=np.uint64)
+
+
+def _key_hashes(first: np.ndarray, second: np.ndarray, pid: int) -> np.ndarray:
+    """FNV-1a hashes of the (u16, u16, pid) keys of `edge_key`/`location_key`:
+    entry (i, j) hashes the key of ``first[i]`` and ``second[j]``."""
+    pid_bytes = list(_u64(pid, "pid"))
+    return _fnv(
+        (len(first), len(second)),
+        [*_u16_field(first[:, None]), *_u16_field(second), *_u64_field(pid_bytes)],
+    )
+
+
 def recover_edges(clbf: Clbf, nodes: Sequence[int]) -> set[tuple[int, int]]:
     """All ordered node pairs that test positive in the edge filter."""
-    bf, pid = clbf.edge_filter, clbf.pid
-    out = set()
-    for a in nodes:
-        for b in nodes:
-            if a != b and bf.contains(edge_key(a, b, pid)):
-                out.add((a, b))
-    return out
+    ids = _node_ids(nodes)
+    member = clbf.edge_filter.contains_hashes(_key_hashes(ids, ids, clbf.pid))
+    np.fill_diagonal(member, False)
+    a, b = np.nonzero(member)
+    return set(zip(ids[a].tolist(), ids[b].tolist()))
 
 
 def recover_paths(
@@ -223,25 +246,43 @@ def recover_paths(
     return sorted(out)
 
 
+def location_table(
+    clbf: Clbf, nodes: Iterable[int], num_segments: int
+) -> dict[int, set[int]]:
+    """Each node's fragments 1..num_segments whose (node, fragment) key tests positive.
+
+    One array probe of the location filter over every (node, fragment) cell.
+    """
+    if num_segments > 0xFFFF:
+        raise ParameterError(f"segment count {num_segments} outside u16 range")
+    ids = _node_ids(nodes)
+    segments = np.arange(1, num_segments + 1, dtype=np.uint64)
+    member = clbf.location_filter.contains_hashes(_key_hashes(ids, segments, clbf.pid))
+    return {
+        node: {s for s, hit in enumerate(row, 1) if hit}
+        for node, row in zip(ids.tolist(), member.tolist())
+    }
+
+
 def recover_locations(
     clbf: Clbf,
     path: Sequence[int],
     num_segments: int,
     cap: int = SEQUENCE_CAP,
+    table: Optional[dict[int, set[int]]] = None,
 ) -> list[tuple[int, ...]]:
     """Admissible fragment sequences supported by the location filter.
 
     ``path`` is RSU-outward; position i's candidate fragments are those
     whose (node, fragment) pair tests positive. The admissibility rules
     prune the product walk: position 0 must be fragment 1, and each next
-    fragment repeats or increments the previous one.
+    fragment repeats or increments the previous one. ``table`` is a
+    `location_table` of this packet covering the path's nodes; without one
+    the path's nodes are probed here.
     """
-    bf, pid = clbf.location_filter, clbf.pid
-    cands: list[list[int]] = []
-    for node in path:
-        cands.append(
-            [s for s in range(1, num_segments + 1) if bf.contains(location_key(node, s, pid))]
-        )
+    if table is None:
+        table = location_table(clbf, path, num_segments)
+    cands = [table[node] for node in path]
     out: list[tuple[int, ...]] = []
     budget = cap
 
@@ -313,9 +354,10 @@ def recover_provenance(
         )
     edges = recover_edges(clbf, nodes)
     paths = recover_paths(edges, candidates, clbf.hop_count, cap=path_cap)
+    table = location_table(clbf, {node for path in paths for node in path}, num_segments)
     arrangements = []
     for path in paths:
-        for seq in recover_locations(clbf, path, num_segments, cap=sequence_cap):
+        for seq in recover_locations(clbf, path, num_segments, cap=sequence_cap, table=table):
             arrangements.append((path, seq))
     truth_recovered: Optional[bool] = None
     if truth is not None:

@@ -1,7 +1,10 @@
 """Bit-level behavior of the filter core: hashing, membership, wire image."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from clbf import bloom
 from clbf.bloom import (
     GAMMA,
     BloomFilter,
@@ -145,3 +148,71 @@ def test_seed_changes_the_bit_pattern():
 def test_gamma_is_odd():
     # an even increment would collapse the level constants' low bits
     assert GAMMA % 2 == 1
+
+
+# ---------------------------------------------------------------------------
+# the array probe against the scalar one
+
+U64_MAX = (1 << 64) - 1
+node_ids = st.sampled_from([0, 0xFFFF]) | st.integers(0, 0xFFFF)
+
+
+def drawn_filter(data, m, k):
+    bf = BloomFilter(m, k, data.draw(st.sampled_from([0, U64_MAX]) | st.integers(0, U64_MAX)))
+    fill = data.draw(st.sampled_from(["empty", "random", "full"]))
+    if fill == "full":
+        bf.fill()
+    elif fill == "random":
+        image = bytearray(data.draw(st.binary(min_size=(m + 7) // 8, max_size=(m + 7) // 8)))
+        if m & 7:
+            image[-1] &= (1 << (m & 7)) - 1
+        bf.load_bits(bytes(image))
+    return bf
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_array_probe_matches_scalar_contains(data):
+    m = data.draw(st.integers(1, 4096) | st.sampled_from([1, 7, 9, 4095]))
+    k = data.draw(st.integers(1, min(m, 64)))
+    pid = data.draw(st.sampled_from([0, U64_MAX]) | st.integers(0, U64_MAX))
+    firsts = data.draw(st.lists(node_ids, min_size=1, max_size=10))
+    seconds = data.draw(st.lists(node_ids, min_size=1, max_size=10))
+    keys = [
+        [encode_key(a.to_bytes(2, "little"), b.to_bytes(2, "little"), pid.to_bytes(8, "little"))
+         for b in seconds]
+        for a in firsts
+    ]
+    filters = [drawn_filter(data, m, k) for _ in range(data.draw(st.integers(1, 3)))]
+    for bf in filters:  # some keys were stored, so some probes are true positives
+        for a, b in data.draw(st.lists(st.tuples(st.integers(0, len(firsts) - 1),
+                                                 st.integers(0, len(seconds) - 1)), max_size=4)):
+            bf.insert(keys[a][b])
+
+    # FNV-1a over byte columns, the first field broadcast down, the second across
+    h0 = bloom._fnv(
+        (len(firsts), len(seconds)),
+        [*bloom._u16_field(np.array(firsts, dtype=np.uint64)[:, None]),
+         *bloom._u16_field(np.array(seconds, dtype=np.uint64)),
+         *bloom._u64_field(list(pid.to_bytes(8, "little")))],
+    )
+    assert h0.tolist() == [[fnv1a64(key) for key in row] for row in keys]
+
+    expected = [[[bf.contains(key) for key in row] for row in keys] for bf in filters]
+    for bf, want in zip(filters, expected):
+        assert bf.contains_hashes(h0).tolist() == want
+    # one filter per row, as the simulation engine probes a batch of packets;
+    # small pass budgets force the level-by-level passes a large batch takes
+    bits = np.array(
+        [np.unpackbits(np.frombuffer(bf.raw_bits(), np.uint8), count=m, bitorder="little")
+         for bf in filters], dtype=bool,
+    )
+    seeded = np.stack([h0 ^ np.uint64(bloom._seed_tag(bf.seed)) for bf in filters])
+    default = bloom._PASS_SLOTS
+    try:
+        for budget in (1, 5, default):
+            bloom._PASS_SLOTS = budget
+            got = bloom._probe(bits, seeded, k).reshape(seeded.shape)
+            assert got.tolist() == expected
+    finally:
+        bloom._PASS_SLOTS = default

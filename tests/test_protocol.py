@@ -1,6 +1,9 @@
 """Packet life cycle: key layout, wire image, embedding, recovery."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clbf.bloom import ParameterError
 from clbf.protocol import (
@@ -16,7 +19,7 @@ from clbf.protocol import (
     recover_paths,
     recover_provenance,
 )
-from clbf.segments import ResourceCapError, count_valid_sequences
+from clbf.segments import ResourceCapError, count_valid_sequences, is_valid_sequence
 
 
 def make_packet(m1=256, k1=3, m2=64, k2=3, seed=42, pid=7):
@@ -28,6 +31,43 @@ def embed_chain(pkt, path, seq):
     pkt.embed_source(path[-1], seq[-1])
     for i in range(len(path) - 2, -1, -1):
         pkt.embed_forward(path[i + 1], path[i], seq[i])
+
+
+# Scalar oracles: the receiver's searches key by key through
+# `BloomFilter.contains`, as the array probes must reproduce them.
+
+
+def scalar_edges(pkt, nodes):
+    return {
+        (a, b)
+        for a in nodes
+        for b in nodes
+        if a != b and pkt.edge_filter.contains(edge_key(a, b, pkt.pid))
+    }
+
+
+def scalar_locations(pkt, path, num_segments, cap):
+    """The location walk with one `contains` per (position, fragment); None past `cap`."""
+    cands = [
+        [s for s in range(1, num_segments + 1)
+         if pkt.location_filter.contains(location_key(node, s, pkt.pid))]
+        for node in path
+    ]
+    out, budget = [], [cap]
+
+    def extend(prefix):
+        budget[0] -= 1
+        if budget[0] < 0:
+            return False
+        if len(prefix) == len(path):
+            out.append(tuple(prefix))
+            return True
+        options = (1,) if not prefix else (prefix[-1], prefix[-1] + 1)
+        return all(
+            extend(prefix + [s]) for s in options if s <= num_segments and s in cands[len(prefix)]
+        )
+
+    return out if extend([]) else None
 
 
 def test_key_layouts_are_length_prefixed_le():
@@ -133,6 +173,59 @@ def test_recover_edges_sees_all_stored_pairs():
     assert {(1, 3), (2, 1)} <= edges  # forwarding direction: outward -> inward
 
 
+def test_recover_edges_rejects_ids_outside_u16():
+    pkt = make_packet()
+    embed_chain(pkt, (3, 1, 2), (1, 1, 2))
+    # a cast to uint64 would wrap -1 to 2^64 - 1 without a word
+    for nodes in ([1, -1], [1, 1 << 16], [-1]):
+        with pytest.raises(ParameterError, match="node id"):
+            recover_edges(pkt, nodes)
+    with pytest.raises(ParameterError, match="node id"):
+        recover_locations(pkt, (3, -1), num_segments=2)
+    with pytest.raises(ParameterError, match="segment"):
+        recover_locations(pkt, (3, 1), num_segments=1 << 16)
+
+
+def test_recover_edges_matches_the_pairwise_probe():
+    pkt = make_packet(m1=32, k1=1)  # narrow: false edges come back too
+    embed_chain(pkt, (3, 1, 2, 6, 5), (1, 1, 2, 2, 3))
+    edges = recover_edges(pkt, range(9))
+    assert edges == scalar_edges(pkt, range(9))
+    assert len(edges) > 4
+    assert recover_edges(pkt, [5, 2, 2, 8, 0, 1, 3, 3, 6, 7, 4, 5]) == edges
+    assert recover_edges(pkt, [1, 2]) == scalar_edges(pkt, [1, 2])
+    assert recover_edges(pkt, []) == set()
+
+
+def test_multi_path_arrangements_match_a_per_path_walk():
+    pkt = make_packet(m2=96, k2=2)
+    path, seq = (3, 1, 2, 6), (1, 2, 2, 3)
+    embed_chain(pkt, path, seq)
+    pkt.edge_filter.fill()  # every chain over the relays is a candidate path
+    nodes = range(7)
+    out = recover_provenance(pkt, nodes, num_segments=4, rsu=0, truth=(path, seq))
+    assert len(out.paths) == 6 * 5 * 4 * 3
+    expected = tuple(
+        (p, s)
+        for p in recover_paths(scalar_edges(pkt, nodes), range(1, 7), 4)
+        for s in scalar_locations(pkt, p, 4, cap=10**6)
+    )
+    assert out.arrangements == expected
+    assert len({p for p, _ in expected}) > 1
+    assert out.classification == FALSE_POSITIVE and out.truth_recovered is True
+
+
+def test_location_walk_spends_its_budget_as_the_per_key_walk():
+    pkt = make_packet(m2=16, k2=1)
+    path = (5, 4, 3, 2, 1, 7, 8)
+    embed_chain(pkt, path, (1, 1, 2, 2, 3, 3, 4))
+    need = next(c for c in range(1, 10**4) if scalar_locations(pkt, path, 4, c) is not None)
+    assert need > 30
+    assert recover_locations(pkt, path, 4, cap=need) == scalar_locations(pkt, path, 4, need)
+    with pytest.raises(ResourceCapError):
+        recover_locations(pkt, path, 4, cap=need - 1)
+
+
 def test_recover_paths_walks_chains():
     edges = {(1, 2), (2, 3), (9, 9)}
     assert recover_paths(edges, candidates=[1, 2, 3], length=3) == [(3, 2, 1)]
@@ -234,3 +327,69 @@ def test_recover_provenance_rejects_more_hops_than_relay_candidates():
 
 def test_classification_labels():
     assert (UNIQUE, FALSE_POSITIVE, MISS) == ("unique", "false_positive", "miss")
+
+
+# ---------------------------------------------------------------------------
+# properties over drawn packets
+
+U64 = st.integers(0, (1 << 64) - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packet_images_parse_or_raise_parameter_error(data):
+    kind = data.draw(st.sampled_from(["bytes", "header", "packet"]))
+    if kind == "bytes":
+        blob = data.draw(st.binary(max_size=80))
+    elif kind == "packet":  # a packet's image, perhaps with one byte overwritten
+        m1, m2 = data.draw(st.integers(1, 70)), data.draw(st.integers(1, 70))
+        pkt = Clbf.create(
+            m1, data.draw(st.integers(1, m1)), m2, data.draw(st.integers(1, m2)),
+            data.draw(U64), data.draw(U64),
+        )
+        embed_chain(pkt, (2, 1), (1, 1))
+        image = bytearray(pkt.to_bytes())
+        if data.draw(st.booleans()):
+            image[data.draw(st.integers(0, len(image) - 1))] = data.draw(st.integers(0, 0xFF))
+        blob = bytes(image)
+    else:  # a header declaring some geometry, then a body near the size it needs
+        widths = st.integers(0, 70) | st.sampled_from([(1 << 32) - 1])
+        m1, m2 = data.draw(widths), data.draw(widths)
+        k1, k2 = (data.draw(st.integers(0, 80) | st.integers(0, 0xFFFF)) for _ in "kk")
+        header = struct.pack(
+            "<QBIIHHQ", data.draw(U64), data.draw(st.integers(0, 0xFF)), m1, m2, k1, k2,
+            data.draw(U64),
+        )
+        size = (m1 + 7) // 8 + (m2 + 7) // 8 + data.draw(st.sampled_from([-1, 0, 0, 1]))
+        size = size if 0 <= size <= 40 else data.draw(st.integers(0, 40))
+        blob = header + data.draw(st.binary(min_size=size, max_size=size))
+    try:
+        pkt = Clbf.from_bytes(blob)
+    except ParameterError:
+        return
+    assert pkt.to_bytes() == blob
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_embedding_is_never_missed(data):
+    n = data.draw(st.integers(2, 10))
+    relays = data.draw(st.lists(st.integers(1, 0xFFFF), min_size=n - 1, max_size=n - 1, unique=True))
+    h = data.draw(st.integers(1, min(6, n - 1)))
+    delta = data.draw(st.integers(1, 6))
+    path = tuple(data.draw(st.permutations(relays))[:h])
+    seq = [1]
+    for _ in range(h - 1):
+        seq.append(min(delta, seq[-1] + data.draw(st.integers(0, 1))))
+    # narrow edge filters return false edges, hence several candidate paths
+    m1 = data.draw(st.integers(64, 128) | st.integers(1, 4096))
+    m2 = data.draw(st.integers(1, 1024))
+    pkt = Clbf.create(
+        m1, data.draw(st.integers(1, min(m1, 8))), m2, data.draw(st.integers(1, min(m2, 8))),
+        data.draw(U64), data.draw(U64),
+    )
+    embed_chain(pkt, path, seq)
+    received = Clbf.from_bytes(pkt.to_bytes())
+    out = recover_provenance(received, [0, *relays], delta, rsu=0, truth=(path, tuple(seq)))
+    assert out.truth_recovered is True
+    assert out.classification != MISS

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clbf import _batch
+from clbf import _batch, bloom
 from clbf.bloom import ParameterError, fnv1a64, mix64, _seed_tag
 from clbf.protocol import FALSE_POSITIVE, MISS, UNIQUE, edge_key, location_key
 from clbf.scenario import PRESETS, load_preset
@@ -229,16 +229,16 @@ def test_batch_key_streams_match_the_reference_keys():
     prev, curr, node, seg, pid = 5, 2, 7, 3, (11 << 32) | 4
     pid_bytes = [np.uint64((pid >> (8 * j)) & 0xFF) for j in range(8)]
     arr = lambda v: np.array([v], dtype=np.uint64)
-    edge = _batch._fnv(
+    edge = bloom._fnv(
         (1,),
-        [*_batch._u16_field(arr(prev)), *_batch._u16_field(arr(curr)),
-         *_batch._u64_field(pid_bytes)],
+        [*bloom._u16_field(arr(prev)), *bloom._u16_field(arr(curr)),
+         *bloom._u64_field(pid_bytes)],
     )
     assert int(edge[0]) == fnv1a64(edge_key(prev, curr, pid))
-    loc = _batch._fnv(
+    loc = bloom._fnv(
         (1,),
-        [*_batch._u16_field(arr(node)), *_batch._u16_field(arr(seg)),
-         *_batch._u64_field(pid_bytes)],
+        [*bloom._u16_field(arr(node)), *bloom._u16_field(arr(seg)),
+         *bloom._u64_field(pid_bytes)],
     )
     assert int(loc[0]) == fnv1a64(location_key(node, seg, pid))
 
@@ -246,12 +246,10 @@ def test_batch_key_streams_match_the_reference_keys():
 def test_batch_slot_indices_match_the_scalar_hash():
     h0 = fnv1a64(edge_key(1, 2, 3))
     seed = 991
-    idx = _batch._slot_indices(
-        np.array([h0], dtype=np.uint64), np.array([_seed_tag(seed)], dtype=np.uint64),
-        m=97, k=5,
-    )
-    from clbf.bloom import hash_indices
-    assert idx[0].tolist() == hash_indices(edge_key(1, 2, 3), 97, 5, seed)
+    base = np.array([h0 ^ _seed_tag(seed)], dtype=np.uint64)
+    idx = bloom._slots(base, m=97, first=0, stop=5)
+    assert idx[0].tolist() == bloom.hash_indices(edge_key(1, 2, 3), 97, 5, seed)
+    assert bloom._slots(base, m=97, first=2, stop=5)[0].tolist() == idx[0, 2:].tolist()
 
 
 # ---------------------------------------------------------------------------
