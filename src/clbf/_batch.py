@@ -20,7 +20,7 @@ draws from full 64-bit words.
 
 Embed. Every trial's keys are hashed by `bloom`'s array form of
 `hash_indices` (FNV-1a over key-byte columns, then the seeded slots), which
-sets its filter bits.
+sets the filter bits `simulate.trial_packet` embeds hop by hop.
 
 Probe and classify. Every ordered pair of relays is probed against the
 edge filter and every admissible (position, fragment) cell of the true path
@@ -32,8 +32,8 @@ chain, so the only simple path of full length is the true one, and
 counting provenance candidates reduces to a dynamic program, saturating at
 2, over the location filter's (position, fragment) membership matrix.
 Single-hop trials, and trials where the edge filter returned anything
-extra, fall back to the reference recovery on a packet rebuilt from the
-very same filter bits.
+extra, fall back to the reference recovery on a packet that
+`Clbf.from_bits` rebuilds from the very same filter bits.
 
 Keys are laid out as `bloom`'s byte columns (u16 length prefix before
 every field, values little-endian); a unit test pins them against
@@ -43,7 +43,6 @@ every field, values little-endian); a unit test pins them against
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Optional
 
 import numpy as np
 
@@ -468,71 +467,49 @@ def _classify(setup: SimulationSetup, u: _Universe, pk: _Packets) -> np.ndarray:
     codes = np.where(arrangements > 1, 1, 0)
     for b in np.flatnonzero(~clean):
         # extra edges recovered: replay full recovery on these bits
-        pkt = Clbf.create(
-            setup.m1, setup.k1, setup.m2, setup.k2, int(pk.seeds[b]), int(pk.pids[b])
+        pkt = Clbf.from_bits(
+            setup.m1, setup.k1, setup.m2, setup.k2, int(pk.seeds[b]), int(pk.pids[b]), h,
+            np.packbits(pk.bits1[b], bitorder="little").tobytes(),
+            np.packbits(pk.bits2[b], bitorder="little").tobytes(),
         )
-        pkt.edge_filter.load_bits(np.packbits(pk.bits1[b], bitorder="little").tobytes())
-        pkt.location_filter.load_bits(np.packbits(pk.bits2[b], bitorder="little").tobytes())
-        pkt.hop_count = h
-        label = recover_provenance(
-            pkt,
-            list(range(n)),
-            delta,
-            rsu=0,
-            truth=(tuple(map(int, paths[b])), tuple(map(int, seqs[b]))),
-        ).classification
+        truth = (tuple(map(int, paths[b])), tuple(map(int, seqs[b])))
+        label = recover_provenance(pkt, list(range(n)), delta, rsu=0, truth=truth).classification
         codes[b] = _LABELS.index(label)
     return codes
 
 
-def _run(
-    setup: SimulationSetup,
-    trials: int,
-    base_seed: int,
-    point_tag: int,
-    labels: Optional[list[str]],
-) -> tuple[int, int, int, int]:
+def _run(setup: SimulationSetup, trials: int, base_seed: int, point_tag: int) -> np.ndarray:
+    """Outcome codes (indices into `_LABELS`) of trials 0..trials-1."""
     trial_pid(point_tag, max(trials - 1, 0))  # both fields must fit their u32 halves
     law = _PathLaw(setup)
     universe = _universe(setup)
-    tally = np.zeros(len(_LABELS), dtype=np.int64)
+    codes = np.full(trials, _LABELS.index(SKIPPED))
     for t0 in range(0, trials, law.batch):
         t = np.arange(t0, min(t0 + law.batch, trials), dtype=np.uint64)
         seeds = _trial_seeds(base_seed, point_tag, t)
         drawn, paths, seqs = law.sample(seeds)
-        codes = np.full(len(t), _LABELS.index(SKIPPED))
         if drawn.any():
             pk = _embed(
-                setup,
-                seeds[drawn],
-                (_U64(point_tag << 32) | t)[drawn],
-                paths[drawn].astype(np.uint64),
-                seqs[drawn].astype(np.uint64),
+                setup, seeds[drawn], (_U64(point_tag << 32) | t)[drawn],
+                paths[drawn].astype(np.uint64), seqs[drawn].astype(np.uint64),
             )
-            codes[drawn] = _classify(setup, universe, pk)
-        tally += np.bincount(codes, minlength=len(_LABELS))
-        if labels is not None:
-            for trial, code in zip(t.tolist(), codes.tolist()):
-                labels[trial] = _LABELS[code]
-    unique, fp, miss, skipped = (int(x) for x in tally)
-    return unique, fp, miss, skipped
+            codes[t0 + np.flatnonzero(drawn)] = _classify(setup, universe, pk)
+    return codes
 
 
 def run_point_counts(
     setup: SimulationSetup, trials: int, base_seed: int, point_tag: int
 ) -> tuple[int, int, int, int]:
     """(unique, false_positive, miss, skipped) over `trials` trials."""
-    return _run(setup, trials, base_seed, point_tag, labels=None)
+    codes = _run(setup, trials, base_seed, point_tag)
+    return tuple(np.bincount(codes, minlength=len(_LABELS)).tolist())
 
 
 def run_point_classifications(
     setup: SimulationSetup, trials: int, base_seed: int, point_tag: int
 ) -> list[str]:
     """Per-trial classification labels, indexed by trial number."""
-    labels: list[str] = [""] * trials
-    _run(setup, trials, base_seed, point_tag, labels=labels)
-    assert all(labels)
-    return labels
+    return [_LABELS[code] for code in _run(setup, trials, base_seed, point_tag).tolist()]
 
 
 def occupancy_counts(

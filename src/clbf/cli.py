@@ -43,11 +43,10 @@ from .simulate import (
     NoValidPath,
     SweepRow,
     derive_trial_seed,
-    draw_trial_path,
     run_point,
     run_sweep,
+    trial_packet,
     trial_pid,
-    trial_rng,
 )
 
 SWEEP_COLUMNS = (
@@ -296,21 +295,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
         seed = scn.filter_seed
     else:
         seed = derive_trial_seed(base_seed, args.point, args.trial)
-    rng = trial_rng(seed)
+    pid = trial_pid(args.point, args.trial)
     try:
-        path, seq = draw_trial_path(
-            setup.placement, setup.n_nodes, setup.segment_dictionary(), setup.h, rng
-        )
+        path, seq, pkt = trial_packet(setup, seed, pid)
     except NoValidPath as exc:
         print(f"trial skipped: {exc}")
         return 0
-    pid = trial_pid(args.point, args.trial)
-    pkt = Clbf.create(setup.m1, setup.k1, setup.m2, setup.k2, seed, pid)
-    pkt.embed_source(path[-1], seq[-1])
-    for i in range(len(path) - 2, -1, -1):
-        pkt.embed_forward(path[i + 1], path[i], seq[i])
     blob = pkt.to_bytes()
-    assert Clbf.from_bytes(blob).to_bytes() == blob
+    if Clbf.from_bytes(blob).to_bytes() != blob:
+        raise AssertionError("packet image does not survive its own round trip")
     outcome = recover_provenance(
         pkt, list(range(setup.n_nodes)), setup.num_segments, rsu=0, truth=(path, seq)
     )

@@ -136,6 +136,18 @@ class Clbf:
         self.location_filter.insert(location_key(curr, segment, self.pid))
         self.hop_count += 1
 
+    def embed_path(self, path: Sequence[int], seq: Sequence[int]) -> None:
+        """Every hop of a relay path listed RSU-outward, in forwarding order.
+
+        ``path[-1]`` is the source and ``seq[i]`` the fragment of ``path[i]``:
+        the source embeds first, then each relay its incoming edge.
+        """
+        if not path or len(path) != len(seq):
+            raise ParameterError(f"{len(path)} nodes, {len(seq)} fragments: need as many, at least one")
+        self.embed_source(path[-1], seq[-1])
+        for i in range(len(path) - 2, -1, -1):
+            self.embed_forward(path[i + 1], path[i], seq[i])
+
     def to_bytes(self) -> bytes:
         bf1, bf2 = self.edge_filter, self.location_filter
         header = _HEADER.pack(
@@ -154,10 +166,20 @@ class Clbf:
             raise ParameterError(
                 f"packet image has {len(body)} filter bytes, geometry needs {n1 + n2}"
             )
+        return cls.from_bits(m1, k1, m2, k2, seed, pid, hops, body[:n1], body[n1:])
+
+    @classmethod
+    def from_bits(
+        cls, m1: int, k1: int, m2: int, k2: int, seed: int, pid: int,
+        hop_count: int, edge_bits: bytes, location_bits: bytes,
+    ) -> "Clbf":
+        """A packet from its geometry, hop count and both filters' packed bits."""
+        if not 0 <= hop_count <= MAX_HOPS:
+            raise ParameterError(f"hop_count {hop_count} outside u8 range")
         out = cls.create(m1, k1, m2, k2, seed, pid)
-        out.edge_filter.load_bits(body[:n1])
-        out.location_filter.load_bits(body[n1:])
-        out.hop_count = hops
+        out.edge_filter.load_bits(edge_bits)
+        out.location_filter.load_bits(location_bits)
+        out.hop_count = hop_count
         return out
 
     def wire_size(self) -> int:
@@ -246,6 +268,11 @@ def recover_paths(
     return sorted(out)
 
 
+def _check_segments(num_segments: int) -> None:
+    if not 1 <= num_segments <= 0xFFFF:
+        raise ParameterError(f"segment count {num_segments} outside 1..65535")
+
+
 def location_table(
     clbf: Clbf, nodes: Iterable[int], num_segments: int
 ) -> dict[int, set[int]]:
@@ -253,8 +280,7 @@ def location_table(
 
     One array probe of the location filter over every (node, fragment) cell.
     """
-    if num_segments > 0xFFFF:
-        raise ParameterError(f"segment count {num_segments} outside u16 range")
+    _check_segments(num_segments)
     ids = _node_ids(nodes)
     segments = np.arange(1, num_segments + 1, dtype=np.uint64)
     member = clbf.location_filter.contains_hashes(_key_hashes(ids, segments, clbf.pid))
@@ -278,8 +304,12 @@ def recover_locations(
     prune the product walk: position 0 must be fragment 1, and each next
     fragment repeats or increments the previous one. ``table`` is a
     `location_table` of this packet covering the path's nodes; without one
-    the path's nodes are probed here.
+    the path's nodes are probed here. An empty path or a fragment count
+    outside 1..65535 raises ParameterError.
     """
+    if not path:
+        raise ParameterError("empty path: a packet crosses at least one hop")
+    _check_segments(num_segments)
     if table is None:
         table = location_table(clbf, path, num_segments)
     cands = [table[node] for node in path]
@@ -342,7 +372,8 @@ def recover_provenance(
 
     Raises ParameterError when the packet's hop count is 0 (nothing was
     embedded) or exceeds the number of relay candidates (no simple chain
-    of that length exists over ``nodes``).
+    of that length exists over ``nodes``), or when ``num_segments`` is
+    outside 1..65535.
     """
     candidates = [n for n in nodes if n != rsu]
     if clbf.hop_count < 1:
@@ -359,26 +390,7 @@ def recover_provenance(
     for path in paths:
         for seq in recover_locations(clbf, path, num_segments, cap=sequence_cap, table=table):
             arrangements.append((path, seq))
-    truth_recovered: Optional[bool] = None
-    if truth is not None:
-        truth_pair = (tuple(truth[0]), tuple(truth[1]))
-        truth_recovered = truth_pair in arrangements
-        if not truth_recovered:
-            classification = MISS
-        elif len(arrangements) > 1:
-            classification = FALSE_POSITIVE
-        else:
-            classification = UNIQUE
-    else:
-        if not arrangements:
-            classification = MISS
-        elif len(arrangements) > 1:
-            classification = FALSE_POSITIVE
-        else:
-            classification = UNIQUE
-    return RecoveryOutcome(
-        paths=tuple(paths),
-        arrangements=tuple(arrangements),
-        classification=classification,
-        truth_recovered=truth_recovered,
-    )
+    truth_recovered = None if truth is None else (tuple(truth[0]), tuple(truth[1])) in arrangements
+    missed = truth_recovered is False or not arrangements
+    classification = MISS if missed else FALSE_POSITIVE if len(arrangements) > 1 else UNIQUE
+    return RecoveryOutcome(tuple(paths), tuple(arrangements), classification, truth_recovered)

@@ -13,12 +13,14 @@ seed and pid are derived from the same triple, so any single trial can be
 replayed in isolation. Results never depend on execution order or batching.
 
 `run_point` runs every point on the vectorized `_batch` engine. `run_trial`
-is the plain reference it must match (build the packet object, run full
-recovery); the test suite holds the two to per-trial equality. The scalar
-draws here (`trial_rng` + `draw_trial_path`) stay the definition of a
-trial's path: the batch engine replays the same Philox stream over arrays
-and comes back to them only for a trial whose draws hit a Lemire rejection
-or whose sequence count reaches 2^32 (numpy then draws 64-bit words).
+is the plain reference it must match: `trial_packet` draws the path and
+embeds every hop into a packet object, and full recovery classifies it (the
+engine's fallback runs the same recovery on `Clbf.from_bits`); the test
+suite holds the two to per-trial equality. The scalar draws here
+(`trial_rng` + `draw_trial_path`) stay the definition of a trial's path:
+the batch engine replays the same Philox stream over arrays and comes back
+to them only for a trial whose draws hit a Lemire rejection or whose
+sequence count reaches 2^32 (numpy then draws 64-bit words).
 
 The sequence rank is drawn as an int64, so a route with 2^63 or more
 feasible fragment sequences is refused with a `ParameterError` naming n,
@@ -47,7 +49,7 @@ import numpy as np
 
 from .analytics import ModelParams, fp_probability
 from .bloom import GAMMA, ParameterError, mix64
-from .protocol import MAX_HOPS, Clbf, recover_provenance
+from .protocol import MAX_HOPS, Clbf, RecoveryOutcome, recover_provenance
 from .segments import SegmentDictionary
 
 __all__ = [
@@ -67,6 +69,7 @@ __all__ = [
     "run_sweep",
     "run_trial",
     "sample_occupancy",
+    "trial_packet",
     "wilson_interval",
 ]
 
@@ -393,39 +396,35 @@ class SimulationSetup:
         )
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    classification: str
-    n_paths: int
-    n_arrangements: int
+def trial_packet(
+    setup: SimulationSetup, seed: int, pid: int
+) -> tuple[tuple[int, ...], tuple[int, ...], Clbf]:
+    """One packet's life up to the receiver: (path, fragments, packet).
+
+    The path is drawn from `trial_rng(seed)`, RSU-outward, and every hop
+    is embedded into a packet keyed by ``seed`` and ``pid``. Raises
+    NoValidPath when the placement staffs no admissible sequence.
+    """
+    rng = trial_rng(seed)
+    path, seq = draw_trial_path(
+        setup.placement, setup.n_nodes, setup.segment_dictionary(), setup.h, rng
+    )
+    pkt = Clbf.create(setup.m1, setup.k1, setup.m2, setup.k2, seed, pid)
+    pkt.embed_path(path, seq)
+    return path, seq, pkt
 
 
 def run_trial(
     setup: SimulationSetup, base_seed: int, point_tag: int, trial_index: int
-) -> TrialResult:
+) -> RecoveryOutcome:
     """Reference engine: one full packet life cycle through the object layer."""
-    seed = derive_trial_seed(base_seed, point_tag, trial_index)
-    rng = trial_rng(seed)
-    path, seq = draw_trial_path(  # may raise NoValidPath
-        setup.placement, setup.n_nodes, setup.segment_dictionary(), setup.h, rng
+    path, seq, pkt = trial_packet(
+        setup,
+        derive_trial_seed(base_seed, point_tag, trial_index),
+        trial_pid(point_tag, trial_index),
     )
-    pkt = Clbf.create(
-        setup.m1, setup.k1, setup.m2, setup.k2, seed, trial_pid(point_tag, trial_index)
-    )
-    pkt.embed_source(path[-1], seq[-1])
-    for i in range(len(path) - 2, -1, -1):
-        pkt.embed_forward(path[i + 1], path[i], seq[i])
-    outcome = recover_provenance(
-        pkt,
-        list(range(setup.n_nodes)),
-        setup.num_segments,
-        rsu=0,
-        truth=(path, seq),
-    )
-    return TrialResult(
-        classification=outcome.classification,
-        n_paths=len(outcome.paths),
-        n_arrangements=len(outcome.arrangements),
+    return recover_provenance(
+        pkt, list(range(setup.n_nodes)), setup.num_segments, rsu=0, truth=(path, seq)
     )
 
 

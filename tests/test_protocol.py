@@ -14,6 +14,7 @@ from clbf.protocol import (
     ProtocolError,
     edge_key,
     location_key,
+    location_table,
     recover_edges,
     recover_locations,
     recover_paths,
@@ -24,13 +25,6 @@ from clbf.segments import ResourceCapError, count_valid_sequences, is_valid_sequ
 
 def make_packet(m1=256, k1=3, m2=64, k2=3, seed=42, pid=7):
     return Clbf.create(m1, k1, m2, k2, seed, pid)
-
-
-def embed_chain(pkt, path, seq):
-    # path and seq are receiver-outward; forwarding happens in reverse
-    pkt.embed_source(path[-1], seq[-1])
-    for i in range(len(path) - 2, -1, -1):
-        pkt.embed_forward(path[i + 1], path[i], seq[i])
 
 
 # Scalar oracles: the receiver's searches key by key through
@@ -95,7 +89,7 @@ def test_key_range_validation():
 
 def test_embedding_accounting():
     pkt = make_packet()
-    embed_chain(pkt, path=(3, 1, 2), seq=(1, 1, 2))
+    pkt.embed_path(path=(3, 1, 2), seq=(1, 1, 2))
     assert pkt.hop_count == 3
     assert pkt.location_filter.popcount() <= 3 * pkt.location_filter.k
     assert pkt.edge_filter.popcount() <= 2 * pkt.edge_filter.k
@@ -115,6 +109,14 @@ def test_embedding_order_is_enforced():
         pkt.embed_source(5, 1)  # only one origin
     with pytest.raises(ProtocolError):
         pkt.embed_forward(3, 3, 1)  # self-edge
+
+
+def test_embed_path_needs_one_fragment_per_node():
+    pkt = make_packet()
+    for path, seq in (((), ()), ((3, 1), (1,)), ((3,), (1, 1))):
+        with pytest.raises(ParameterError, match="need as many"):
+            pkt.embed_path(path, seq)
+    assert pkt.hop_count == 0 and pkt.edge_filter.popcount() == 0
 
 
 def test_hop_counter_is_capped():
@@ -143,18 +145,25 @@ def test_wire_header_layout():
 
 def test_wire_roundtrip_preserves_everything():
     pkt = make_packet(m1=100, k1=4, m2=33, k2=2, seed=99, pid=123456789)
-    embed_chain(pkt, (4, 2, 7, 1), (1, 2, 2, 3))
-    back = Clbf.from_bytes(pkt.to_bytes())
+    pkt.embed_path((4, 2, 7, 1), (1, 2, 2, 3))
+    blob = pkt.to_bytes()
+    back = Clbf.from_bytes(blob)
     assert back.pid == pkt.pid and back.seed == pkt.seed
     assert back.hop_count == 4
     assert back.edge_filter == pkt.edge_filter
     assert back.location_filter == pkt.location_filter
+    # the packed bits alone rebuild the same packet
+    edge_bits, location_bits = blob[29:42], blob[42:]
+    rebuilt = Clbf.from_bits(100, 4, 33, 2, 99, 123456789, 4, edge_bits, location_bits)
+    assert rebuilt.to_bytes() == blob
+    with pytest.raises(ParameterError, match="hop_count 256"):
+        Clbf.from_bits(100, 4, 33, 2, 99, 123456789, 256, edge_bits, location_bits)
 
 
 def test_wire_size_is_constant_under_embedding():
     pkt = make_packet()
     before = pkt.wire_size()
-    embed_chain(pkt, (5, 4, 3, 2, 1), (1, 1, 2, 3, 3))
+    pkt.embed_path((5, 4, 3, 2, 1), (1, 1, 2, 3, 3))
     assert pkt.wire_size() == before
 
 
@@ -168,27 +177,39 @@ def test_from_bytes_rejects_wrong_body_length():
 
 def test_recover_edges_sees_all_stored_pairs():
     pkt = make_packet(m1=4096, k1=4)
-    embed_chain(pkt, (3, 1, 2), (1, 1, 2))
+    pkt.embed_path((3, 1, 2), (1, 1, 2))
     edges = recover_edges(pkt, nodes=range(5))
     assert {(1, 3), (2, 1)} <= edges  # forwarding direction: outward -> inward
 
 
 def test_recover_edges_rejects_ids_outside_u16():
     pkt = make_packet()
-    embed_chain(pkt, (3, 1, 2), (1, 1, 2))
+    pkt.embed_path((3, 1, 2), (1, 1, 2))
     # a cast to uint64 would wrap -1 to 2^64 - 1 without a word
     for nodes in ([1, -1], [1, 1 << 16], [-1]):
         with pytest.raises(ParameterError, match="node id"):
             recover_edges(pkt, nodes)
     with pytest.raises(ParameterError, match="node id"):
         recover_locations(pkt, (3, -1), num_segments=2)
-    with pytest.raises(ParameterError, match="segment"):
-        recover_locations(pkt, (3, 1), num_segments=1 << 16)
+    for num_segments in (0, 1 << 16):  # fragment numbers are u16, and at least one
+        with pytest.raises(ParameterError, match="segment count"):
+            recover_locations(pkt, (3, 1), num_segments=num_segments)
+        with pytest.raises(ParameterError, match="segment count"):
+            location_table(pkt, (3, 1), num_segments)
+        with pytest.raises(ParameterError, match="segment count"):
+            recover_provenance(pkt, range(4), num_segments, rsu=0, truth=((3, 1, 2), (1, 1, 2)))
+
+
+def test_recover_locations_rejects_an_empty_path():
+    pkt = make_packet()
+    pkt.embed_path((3, 1, 2), (1, 1, 2))
+    with pytest.raises(ParameterError, match="empty path"):
+        recover_locations(pkt, (), num_segments=3)
 
 
 def test_recover_edges_matches_the_pairwise_probe():
     pkt = make_packet(m1=32, k1=1)  # narrow: false edges come back too
-    embed_chain(pkt, (3, 1, 2, 6, 5), (1, 1, 2, 2, 3))
+    pkt.embed_path((3, 1, 2, 6, 5), (1, 1, 2, 2, 3))
     edges = recover_edges(pkt, range(9))
     assert edges == scalar_edges(pkt, range(9))
     assert len(edges) > 4
@@ -200,7 +221,7 @@ def test_recover_edges_matches_the_pairwise_probe():
 def test_multi_path_arrangements_match_a_per_path_walk():
     pkt = make_packet(m2=96, k2=2)
     path, seq = (3, 1, 2, 6), (1, 2, 2, 3)
-    embed_chain(pkt, path, seq)
+    pkt.embed_path(path, seq)
     pkt.edge_filter.fill()  # every chain over the relays is a candidate path
     nodes = range(7)
     out = recover_provenance(pkt, nodes, num_segments=4, rsu=0, truth=(path, seq))
@@ -218,7 +239,7 @@ def test_multi_path_arrangements_match_a_per_path_walk():
 def test_location_walk_spends_its_budget_as_the_per_key_walk():
     pkt = make_packet(m2=16, k2=1)
     path = (5, 4, 3, 2, 1, 7, 8)
-    embed_chain(pkt, path, (1, 1, 2, 2, 3, 3, 4))
+    pkt.embed_path(path, (1, 1, 2, 2, 3, 3, 4))
     need = next(c for c in range(1, 10**4) if scalar_locations(pkt, path, 4, c) is not None)
     assert need > 30
     assert recover_locations(pkt, path, 4, cap=need) == scalar_locations(pkt, path, 4, need)
@@ -250,7 +271,7 @@ def test_recover_paths_cap():
 
 def test_recover_locations_prunes_to_admissible():
     pkt = make_packet(m2=512, k2=4)
-    embed_chain(pkt, (3, 1, 2), (1, 2, 2))
+    pkt.embed_path((3, 1, 2), (1, 2, 2))
     seqs = recover_locations(pkt, (3, 1, 2), num_segments=4)
     assert (1, 2, 2) in seqs
     for seq in seqs:
@@ -275,7 +296,7 @@ def test_recover_locations_cap():
 def test_recover_provenance_unique_on_roomy_filters():
     pkt = make_packet(m1=4096, k1=6, m2=2048, k2=6)
     path, seq = (3, 1, 2), (1, 1, 2)
-    embed_chain(pkt, path, seq)
+    pkt.embed_path(path, seq)
     out = recover_provenance(pkt, nodes=range(4), num_segments=3, rsu=0, truth=(path, seq))
     assert out.classification == UNIQUE
     assert out.truth_recovered is True
@@ -286,7 +307,7 @@ def test_recover_provenance_unique_on_roomy_filters():
 def test_recover_provenance_flags_ambiguity():
     pkt = make_packet(m1=4096, k1=6)
     path, seq = (3, 1, 2), (1, 1, 2)
-    embed_chain(pkt, path, seq)
+    pkt.embed_path(path, seq)
     pkt.location_filter.fill()  # forces extra admissible arrangements
     out = recover_provenance(pkt, nodes=range(4), num_segments=3, rsu=0, truth=(path, seq))
     assert out.classification == FALSE_POSITIVE
@@ -297,7 +318,7 @@ def test_recover_provenance_flags_ambiguity():
 
 def test_recover_provenance_without_truth():
     pkt = make_packet(m1=4096, k1=6, m2=2048, k2=6)
-    embed_chain(pkt, (3, 1, 2), (1, 1, 2))
+    pkt.embed_path((3, 1, 2), (1, 1, 2))
     out = recover_provenance(pkt, nodes=range(4), num_segments=3, rsu=0)
     assert out.classification == UNIQUE
     assert out.truth_recovered is None
@@ -305,7 +326,7 @@ def test_recover_provenance_without_truth():
 
 def test_recover_provenance_excludes_the_receiver_from_chains():
     pkt = make_packet(m1=4096, k1=6, m2=2048, k2=6)
-    embed_chain(pkt, (3, 1, 2), (1, 1, 2))
+    pkt.embed_path((3, 1, 2), (1, 1, 2))
     out = recover_provenance(pkt, nodes=range(4), num_segments=3, rsu=0, truth=((3, 1, 2), (1, 1, 2)))
     for path in out.paths:
         assert 0 not in path
@@ -319,7 +340,7 @@ def test_recover_provenance_rejects_a_packet_without_hops():
 
 def test_recover_provenance_rejects_more_hops_than_relay_candidates():
     pkt = make_packet(m1=4096, k1=6, m2=2048, k2=6)
-    embed_chain(pkt, (3, 1, 2), (1, 1, 2))
+    pkt.embed_path((3, 1, 2), (1, 1, 2))
     # nodes 0..2 leave two relays besides the receiver, too few for 3 hops
     with pytest.raises(ParameterError, match="hop_count 3 exceeds the 2 relay candidates"):
         recover_provenance(pkt, nodes=range(3), num_segments=3, rsu=0)
@@ -347,7 +368,7 @@ def test_packet_images_parse_or_raise_parameter_error(data):
             m1, data.draw(st.integers(1, m1)), m2, data.draw(st.integers(1, m2)),
             data.draw(U64), data.draw(U64),
         )
-        embed_chain(pkt, (2, 1), (1, 1))
+        pkt.embed_path((2, 1), (1, 1))
         image = bytearray(pkt.to_bytes())
         if data.draw(st.booleans()):
             image[data.draw(st.integers(0, len(image) - 1))] = data.draw(st.integers(0, 0xFF))
@@ -388,7 +409,7 @@ def test_random_embedding_is_never_missed(data):
         m1, data.draw(st.integers(1, min(m1, 8))), m2, data.draw(st.integers(1, min(m2, 8))),
         data.draw(U64), data.draw(U64),
     )
-    embed_chain(pkt, path, seq)
+    pkt.embed_path(path, seq)
     received = Clbf.from_bytes(pkt.to_bytes())
     out = recover_provenance(received, [0, *relays], delta, rsu=0, truth=(path, tuple(seq)))
     assert out.truth_recovered is True

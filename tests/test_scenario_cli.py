@@ -1,5 +1,11 @@
 """Scenario dialect and the command-line surface."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from clbf.cli import main
@@ -261,6 +267,55 @@ def test_cli_trace_replays_one_trial(capsys):
     assert "path (unit-outward):" in out
     assert "classification:" in out
     assert "packet: " in out
+
+
+# SHA-256 of the concatenated stdout below: it moves with any change to how a
+# trial's path is drawn, embedded, serialized, recovered or printed
+TRACE_DIGEST = "a8f518ace2b7ab0d791fd4dbced76487df352d30fae84d4ec4b4298fdf2482bd"
+
+
+def test_cli_trace_stdout_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for preset in PRESETS:
+        for point in (0, 3):
+            for trial in (0, 5, 17):
+                for fixed in ((), ("--fixed-seed",)):
+                    argv = ["trace", "--preset", preset, "--point", str(point),
+                            "--trial", str(trial), *fixed]
+                    assert main(argv) == 0
+                    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == TRACE_DIGEST
+
+
+CORRUPT_ROUND_TRIP = """
+import sys
+from clbf import cli
+assert not __debug__, "expected python -O"
+parse = cli.Clbf.from_bytes
+def from_bytes(blob):
+    pkt = parse(blob)
+    pkt.hop_count -= 1  # the parsed packet no longer matches its image
+    return pkt
+if sys.argv[1] == "corrupt":
+    cli.Clbf.from_bytes = from_bytes
+sys.exit(cli.main(["trace", "--preset", "hash-sweep-d8"]))
+"""
+
+
+@pytest.mark.parametrize("mode", ["intact", "corrupt"])
+def test_cli_trace_round_trip_check_survives_python_O(mode):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_ROUND_TRIP, mode],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    if mode == "intact":
+        assert run.returncode == 0, run.stderr
+        assert "classification:" in run.stdout
+    else:
+        assert run.returncode != 0
+        assert "AssertionError: packet image does not survive its own round trip" in run.stderr
 
 
 def test_cli_trace_free_placement_scenario(tmp_path, capsys):
