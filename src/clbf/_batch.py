@@ -35,6 +35,16 @@ Single-hop trials, and trials where the edge filter returned anything
 extra, fall back to the reference recovery on a packet that
 `Clbf.from_bits` rebuilds from the very same filter bits.
 
+Workers. A point's trials split into contiguous ranges, and since no
+result depends on where a batch starts, the ranges can run anywhere and be
+concatenated back in trial order. `map_point_codes` queues every range of
+a list of points on one pool of forked worker processes, one per CPU this
+process may run on, built on first use and kept for the life of the
+process (rebuilt if a worker dies). A point is cut into one range per
+worker, each at least a batch long; a list that makes a single range, or
+a host with one CPU, runs inline in the caller. Results are the same for
+any worker count.
+
 Keys are laid out as `bloom`'s byte columns (u16 length prefix before
 every field, values little-endian); a unit test pins them against
 `protocol.edge_key`/`location_key`.
@@ -42,7 +52,11 @@ every field, values little-endian); a unit test pins them against
 
 from __future__ import annotations
 
+import atexit
+import itertools
+import os
 from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +86,15 @@ from .simulate import (
     trial_rng,
 )
 
-__all__ = ["occupancy_counts", "run_point_classifications", "run_point_counts"]
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+__all__ = [
+    "map_point_counts",
+    "occupancy_counts",
+    "run_point_classifications",
+    "run_point_counts",
+]
 
 _MASK64 = (1 << 64) - 1
 _U64 = np.uint64
@@ -478,14 +500,15 @@ def _classify(setup: SimulationSetup, u: _Universe, pk: _Packets) -> np.ndarray:
     return codes
 
 
-def _run(setup: SimulationSetup, trials: int, base_seed: int, point_tag: int) -> np.ndarray:
-    """Outcome codes (indices into `_LABELS`) of trials 0..trials-1."""
-    trial_pid(point_tag, max(trials - 1, 0))  # both fields must fit their u32 halves
+def _run(
+    setup: SimulationSetup, start: int, stop: int, base_seed: int, point_tag: int
+) -> np.ndarray:
+    """Outcome codes (indices into `_LABELS`) of trials start..stop-1."""
     law = _PathLaw(setup)
     universe = _universe(setup)
-    codes = np.full(trials, _LABELS.index(SKIPPED))
-    for t0 in range(0, trials, law.batch):
-        t = np.arange(t0, min(t0 + law.batch, trials), dtype=np.uint64)
+    codes = np.full(stop - start, _LABELS.index(SKIPPED))
+    for t0 in range(start, stop, law.batch):
+        t = np.arange(t0, min(t0 + law.batch, stop), dtype=np.uint64)
         seeds = _trial_seeds(base_seed, point_tag, t)
         drawn, paths, seqs = law.sample(seeds)
         if drawn.any():
@@ -493,23 +516,128 @@ def _run(setup: SimulationSetup, trials: int, base_seed: int, point_tag: int) ->
                 setup, seeds[drawn], (_U64(point_tag << 32) | t)[drawn],
                 paths[drawn].astype(np.uint64), seqs[drawn].astype(np.uint64),
             )
-            codes[t0 + np.flatnonzero(drawn)] = _classify(setup, universe, pk)
+            codes[t0 - start + np.flatnonzero(drawn)] = _classify(setup, universe, pk)
     return codes
+
+
+# ---------------------------------------------------------------------------
+# the worker pool: a job's trial ranges run anywhere, tallied in trial order
+#
+# `multiprocessing` and `concurrent.futures` are imported on first use: a
+# process that never runs a pool (a decode, a model sweep) does not pay
+# their import time and memory.
+
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_pid = 0  # the process that built `_pool`; a forked child never reuses it
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where it cannot fork workers."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ranges(trials: int, workers: int) -> list[tuple[int, int]]:
+    """A point's contiguous trial ranges: one per worker, each at least a batch."""
+    size = max(BATCH, -(-trials // workers))
+    return [(a, min(a + size, trials)) for a in range(0, max(trials, 1), size)]
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.shutdown(wait=False, cancel_futures=True)
+    _pool = None
+
+
+def _submit(workers: int, *args) -> Future:
+    """Queue one `_run` call on the pool, building the pool on first use.
+
+    Workers are forked, so they start with the caller's modules already
+    imported and need no `__main__` to re-import. A pool that broke (a
+    worker died) is replaced before the call is queued.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    global _pool, _pool_pid
+    if _pool is not None and _pool_pid == os.getpid():
+        try:
+            return _pool.submit(_run, *args)
+        except BrokenProcessPool:
+            _drop_pool()
+    if _pool_pid != os.getpid():
+        # let go of the pool before interpreter teardown, which would leave
+        # its clean-up code without the modules it calls
+        atexit.register(_drop_pool)
+    _pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    _pool_pid = os.getpid()
+    return _pool.submit(_run, *args)
+
+
+def map_point_codes(jobs: Sequence[tuple]) -> Iterator[np.ndarray]:
+    """Outcome codes of each job (setup, trials, base_seed, point_tag), in job order.
+
+    Every range of every job is queued before this returns, so the caller
+    can work while the pool runs them; each job's ranges are concatenated
+    back in trial order, and a job's error is raised when its turn comes.
+    A lone range, or a host with one CPU, runs inline, job by job, as the
+    iterator is consumed.
+    """
+    jobs = list(jobs)
+    for _, trials, _, point_tag in jobs:
+        trial_pid(point_tag, max(trials - 1, 0))  # both fields must fit their u32 halves
+    workers = _cpu_count()
+    spans = [_ranges(job[1], workers) for job in jobs]
+    if workers < 2 or sum(map(len, spans)) < 2:
+        return (_run(setup, 0, trials, seed, tag) for setup, trials, seed, tag in jobs)
+    futures = [
+        [_submit(workers, setup, a, b, seed, tag) for a, b in span]
+        for (setup, _, seed, tag), span in zip(jobs, spans)
+    ]
+    return _gather(futures)
+
+
+def _gather(futures: list[list[Future]]) -> Iterator[np.ndarray]:
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        for parts in futures:
+            yield np.concatenate([f.result() for f in parts])
+    except BrokenProcessPool:
+        _drop_pool()  # the next call builds a fresh pool
+        raise
+    finally:
+        for f in itertools.chain.from_iterable(futures):
+            f.cancel()
+
+
+def map_point_counts(jobs: Sequence[tuple]) -> Iterator[tuple[int, int, int, int]]:
+    """(unique, false_positive, miss, skipped) of each job, as `map_point_codes`."""
+    return (
+        tuple(np.bincount(codes, minlength=len(_LABELS)).tolist())
+        for codes in map_point_codes(jobs)
+    )
 
 
 def run_point_counts(
     setup: SimulationSetup, trials: int, base_seed: int, point_tag: int
 ) -> tuple[int, int, int, int]:
     """(unique, false_positive, miss, skipped) over `trials` trials."""
-    codes = _run(setup, trials, base_seed, point_tag)
-    return tuple(np.bincount(codes, minlength=len(_LABELS)).tolist())
+    return next(map_point_counts([(setup, trials, base_seed, point_tag)]))
 
 
 def run_point_classifications(
     setup: SimulationSetup, trials: int, base_seed: int, point_tag: int
 ) -> list[str]:
     """Per-trial classification labels, indexed by trial number."""
-    return [_LABELS[code] for code in _run(setup, trials, base_seed, point_tag).tolist()]
+    codes = next(map_point_codes([(setup, trials, base_seed, point_tag)]))
+    return [_LABELS[code] for code in codes.tolist()]
 
 
 def occupancy_counts(

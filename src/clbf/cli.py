@@ -284,11 +284,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     scn = _load(args)
     setup = scn.setup
+    # a scenario without a sweep is one point, the one `simulate` runs as point 0
+    points = len(scn.sweep[1]) if scn.sweep is not None else 1
+    if not 0 <= args.point < points:
+        print(f"--point {args.point} outside 0..{points - 1}", file=sys.stderr)
+        return 2
     if scn.sweep is not None:
         param, values = scn.sweep
-        if not 0 <= args.point < len(values):
-            print(f"--point {args.point} outside 0..{len(values) - 1}", file=sys.stderr)
-            return 2
         setup = replace(setup, **{SWEEPABLE[param]: values[args.point]})
     base_seed = args.seed if args.seed is not None else scn.base_seed
     if args.fixed_seed:

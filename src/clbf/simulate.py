@@ -10,13 +10,17 @@ Determinism contract: a (base_seed, point_tag, trial_index) triple fixes a
 trial completely. The per-trial seed comes from a splitmix64 chain over the
 triple, the per-trial RNG is Philox keyed with that seed, and the packet
 seed and pid are derived from the same triple, so any single trial can be
-replayed in isolation. Results never depend on execution order or batching.
+replayed in isolation. Results never depend on execution order, batching
+or the number of worker processes.
 
 `run_point` runs every point on the vectorized `_batch` engine. `run_trial`
 is the plain reference it must match: `trial_packet` draws the path and
 embeds every hop into a packet object, and full recovery classifies it (the
 engine's fallback runs the same recovery on `Clbf.from_bits`); the test
-suite holds the two to per-trial equality. The scalar draws here
+suite holds the two to per-trial equality. `run_sweep` queues all of its
+points on the engine's worker pool at once and computes the model column
+while the workers run; its rows come back in sweep order, and a point's
+error is raised in that order too. The scalar draws here
 (`trial_rng` + `draw_trial_path`) stay the definition of a trial's path:
 the batch engine replays the same Philox stream over arrays and comes back
 to them only for a trial whose draws hit a Lemire rejection or whose
@@ -511,21 +515,27 @@ def run_sweep(
         raise ParameterError(
             f"parameter {parameter!r} not sweepable, pick one of {sorted(SWEEPABLE)}"
         )
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    from . import _batch
+
     field = SWEEPABLE[parameter]
-    values = list(values)
+    values = [int(v) for v in values]
+    points = [replace(setup, **{field: value}) for value in values]
+    # every point is queued first; the model column is computed meanwhile
+    counts = _batch.map_point_counts(
+        [(point, trials, base_seed, i) for i, point in enumerate(points)]
+    )
     rows = []
-    for i, value in enumerate(values):
-        point = replace(setup, **{field: int(value)})
-        model = fp_probability(
-            point.model_params(seq_len_mode), backend=backend
-        ).total
-        result = run_point(point, trials, base_seed, point_tag=i)
+    for i, (point, value) in enumerate(zip(points, values)):
+        model = fp_probability(point.model_params(seq_len_mode), backend=backend).total
+        unique, fp, miss, skipped = next(counts)
         rows.append(
             SweepRow(
                 point_tag=i,
                 parameter=parameter,
-                value=int(value),
-                result=result,
+                value=value,
+                result=PointResult(trials, unique, fp, miss, skipped),
                 model_fp=model,
             )
         )

@@ -332,6 +332,20 @@ def test_cli_trace_point_out_of_range(capsys):
     assert rc == 2
 
 
+def test_cli_trace_point_of_a_scenario_without_sweep(tmp_path, capsys):
+    # `simulate` runs such a scenario as point 0 alone
+    scenario = tmp_path / "point.ini"
+    scenario.write_text(GOOD.replace("sweep = k2:1..3\n", ""))
+    assert main(["trace", "--scenario", str(scenario), "--point", "0"]) == 0
+    capsys.readouterr()
+    for point in (7, 1, -1):
+        rc = main(["trace", "--scenario", str(scenario), "--point", str(point)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"--point {point} outside 0..0\n"
+        assert captured.out == ""
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

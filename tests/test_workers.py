@@ -1,0 +1,193 @@
+"""The worker pool: pooled points equal one inline run, errors travel, the pool is lazy."""
+
+import concurrent.futures
+import os
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from clbf import _batch
+from clbf.bloom import ParameterError
+from clbf.cli import main
+from clbf.scenario import PRESETS, load_preset
+from clbf.simulate import SWEEPABLE, PlacementSpec, SimulationSetup, run_point, run_sweep
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def setup_of(placement, n, delta, h, **filters):
+    geometry = dict(m1=128, k1=2, m2=32, k2=2)
+    geometry.update(filters)
+    return SimulationSetup(
+        n_nodes=n, num_segments=delta, road_length_m=100.0 * delta,
+        placement=placement, h=h, **geometry,
+    )
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Two CPUs whatever the host has, and a record of every queued range."""
+    queued = []
+    submit = _batch._submit
+    monkeypatch.setattr(_batch, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_batch, "_submit", lambda w, *a: queued.append(a[1:3]) or submit(w, *a))
+    return queued
+
+
+def assert_pooled_equals_inline(setup, trials, base_seed, point_tag, queued):
+    codes = _batch._run(setup, 0, trials, base_seed, point_tag)
+    labels = [_batch._LABELS[c] for c in codes.tolist()]
+    counts = tuple(np.bincount(codes, minlength=len(_batch._LABELS)).tolist())
+    assert _batch.run_point_classifications(setup, trials, base_seed, point_tag) == labels
+    ranges = list(queued)
+    assert len(ranges) >= 2 and ranges[0][0] == 0 and ranges[-1][1] == trials
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    queued.clear()
+    assert _batch.run_point_counts(setup, trials, base_seed, point_tag) == counts
+    assert queued == ranges
+    return counts
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_pooled_point_equals_one_inline_run_on_presets(preset, two_workers):
+    scn = load_preset(preset)
+    param, values = scn.sweep
+    setup = replace(scn.setup, **{SWEEPABLE[param]: values[0]})
+    assert_pooled_equals_inline(setup, 1100, scn.base_seed, 3, two_workers)
+
+
+def test_pooled_point_with_skipped_trials(two_workers):
+    setup = setup_of(PlacementSpec("random"), 10, 4, 4)
+    counts = assert_pooled_equals_inline(setup, 1100, 17, 1, two_workers)
+    assert counts[3] > 0  # about one trial in ten finds no staffable sequence
+
+
+def test_pooled_point_with_scalar_redos(two_workers, monkeypatch):
+    # the rank draw rejects about 43% of its 32-bit draws: those trials are
+    # redone on the scalar path
+    setup = setup_of(PlacementSpec("free"), 40, 17, 33, m1=4096, k1=3, m2=512)
+    redone = []
+    scalar = _batch.draw_trial_path
+    monkeypatch.setattr(_batch, "draw_trial_path", lambda *a: redone.append(1) or scalar(*a))
+    _batch._run(setup, 0, 1030, 5, 0)
+    assert len(redone) > 300
+    assert_pooled_equals_inline(setup, 1030, 5, 0, two_workers)
+
+
+@pytest.mark.parametrize("trials", [700, 1201])
+def test_pooled_point_off_the_range_size(trials, two_workers):
+    # 700 cuts at one batch (512); 1201 cuts at 601, inside a batch
+    setup = setup_of(PlacementSpec("uniform_per_segment", per_segment=2), 8, 4, 5)
+    assert trials % _batch._ranges(trials, 2)[0][1]
+    assert_pooled_equals_inline(setup, trials, 9, 2, two_workers)
+
+
+def simulate_csv(tmp_path, name, cpus, monkeypatch):
+    monkeypatch.setattr(_batch, "_cpu_count", lambda: cpus)
+    out = tmp_path / name
+    argv = ["simulate", "--preset", "hash-sweep-d8", "--trials", "300", "--out", str(out)]
+    assert main(argv) == 0
+    return (out / "hash-sweep-d8.csv").read_bytes()
+
+
+def test_pooled_sweep_writes_the_serial_csv(tmp_path, monkeypatch, capsys):
+    assert simulate_csv(tmp_path, "pooled", 2, monkeypatch) == simulate_csv(
+        tmp_path, "serial", 1, monkeypatch
+    )
+
+
+# ---------------------------------------------------------------------------
+# errors
+
+
+def test_worker_error_reaches_the_caller_from_the_first_failing_point(two_workers):
+    # past 2^63 feasible sequences at delta=40 and 41 alike; delta=5 is fine
+    setup = setup_of(PlacementSpec("free"), 70, 5, 66, m1=4096, k1=3, m2=512)
+    with pytest.raises(ParameterError) as inline:
+        _batch._run(replace(setup, num_segments=40), 0, 2, 1, 1)
+    with pytest.raises(ParameterError, match=r"^n=70, delta=40, hops=66: ") as err:
+        run_sweep(setup, "delta", [5, 40, 41], trials=2, base_seed=1)
+    assert str(err.value) == str(inline.value)
+    assert len(two_workers) == 3
+    assert "Traceback" in str(err.value.__cause__)  # raised in a worker
+
+
+def test_cli_simulate_exits_2_on_a_worker_error(tmp_path, two_workers, capsys):
+    scenario = tmp_path / "wide.ini"
+    scenario.write_text(
+        "[network]\nn = 70\ndelta = 40\nroad_length_m = 4000.0\nplacement = free\n"
+        "hops = 66\n\n[filters]\nm1 = 4096\nk1 = 3\nm2 = 512\nk2 = 2\nseed = 7\n\n"
+        "[experiment]\ntrials = 2\nbase_seed = 1\nsweep = k2:2,3\n"
+    )
+    rc = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "n=70, delta=40, hops=66" in capsys.readouterr().err
+    assert len(two_workers) == 2
+
+
+def test_pool_is_rebuilt_after_a_worker_dies(two_workers):
+    setup = setup_of(PlacementSpec("balanced_prefix"), 9, 5, 6)
+    values = [1, 2, 3]
+    first = run_sweep(setup, "k2", values, trials=600, base_seed=4)
+    pool = _batch._pool
+    victim = pool.submit(os.getpid).result(timeout=60)
+    os.kill(victim, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:  # until the pool has seen it die and reaped it
+        try:
+            os.kill(victim, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.01)
+    assert run_sweep(setup, "k2", values, trials=600, base_seed=4) == first
+    assert _batch._pool is not pool
+
+
+# ---------------------------------------------------------------------------
+# lifecycle
+
+
+def test_import_starts_no_process():
+    code = (
+        "import sys, clbf, clbf.cli, clbf._batch\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "import multiprocessing\n"
+        "assert not multiprocessing.active_children()\n"
+        "assert clbf._batch._pool is None\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_one_cpu_builds_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built on one CPU")
+
+    monkeypatch.setattr(_batch, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_batch, "_pool", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    setup = setup_of(PlacementSpec("balanced_prefix"), 9, 5, 6)
+    rows = run_sweep(setup, "k2", [1, 2, 3], trials=1200, base_seed=4)
+    assert [r.result.trials for r in rows] == [1200] * 3
+    assert run_point(replace(setup, k2=1), 1200, base_seed=4) == rows[0].result
+    assert _batch._pool is None
+
+
+def test_one_batch_makes_no_pool_call(monkeypatch):
+    def no_call(*args):
+        raise AssertionError("a job of one batch went to the pool")
+
+    monkeypatch.setattr(_batch, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_batch, "_submit", no_call)
+    setup = setup_of(PlacementSpec("balanced_prefix"), 9, 5, 6)
+    assert run_point(setup, _batch.BATCH, base_seed=4).trials == _batch.BATCH
+    assert len(_batch.run_point_classifications(setup, 8, 4, 0)) == 8
+    assert run_sweep(setup, "k2", [2], trials=_batch.BATCH, base_seed=4)[0].result.trials == 512
