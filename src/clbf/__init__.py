@@ -13,7 +13,6 @@ CLI (`scenario`, `cli`).
 
 from .analytics import (
     BACKENDS,
-    SEQ_LEN_MODES,
     BackendComparison,
     FpBreakdown,
     ModelParams,
@@ -22,7 +21,6 @@ from .analytics import (
     critical_pair_histogram,
     critical_pair_histogram_closed,
     fp_probability,
-    occupancy_pmf,
     occupancy_pmf_vector,
 )
 from .bloom import BloomFilter, ParameterError, encode_key, hash_indices
@@ -82,7 +80,6 @@ __all__ = [
     "ProtocolError",
     "RecoveryOutcome",
     "ResourceCapError",
-    "SEQ_LEN_MODES",
     "Scenario",
     "ScenarioError",
     "SegmentDictionary",
@@ -102,7 +99,6 @@ __all__ = [
     "load_preset",
     "load_scenario",
     "location_key",
-    "occupancy_pmf",
     "occupancy_pmf_vector",
     "optimize_k2",
     "recover_edges",

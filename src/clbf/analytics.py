@@ -26,11 +26,6 @@ Counting conventions: C(n, 0) = 1 for every n including negatives,
 C(n, k) = 0 when k < 0, k > n >= 0, or n < 0 with k > 0; empty sums are 0.
 The fitted histogram terms additionally treat their bracketed sums as 1
 when the even order is 0 (the odd-order fallthrough).
-
-Sequence-length modes: "h" models chains of h embedded pairs (default);
-"h_plus_1" lengthens sequences by the receiving roadside unit's own
-fragment. The false-pair pool always scales with the modeled sequence
-length so both modes stay self-consistent with the exact oracle.
 """
 
 from __future__ import annotations
@@ -48,9 +43,7 @@ __all__ = [
     "FpBreakdown",
     "ModelParams",
     "binom",
-    "collision_probabilities",
     "compare_backends",
-    "conditional_fp_probability",
     "count_critical_pairs",
     "critical_pair_histogram",
     "critical_pair_histogram_closed",
@@ -60,12 +53,10 @@ __all__ = [
     "fp_probability",
     "fp_subset_count",
     "fp_subset_totals",
-    "occupancy_pmf",
     "occupancy_pmf_vector",
 ]
 
 BACKENDS = ("closed_form", "oracle")
-SEQ_LEN_MODES = ("h", "h_plus_1")
 
 
 def binom(n: int, k: int) -> int:
@@ -87,7 +78,6 @@ class ModelParams:
     k2: int
     h: int
     delta: int
-    seq_len_mode: str = "h"
 
     def __post_init__(self):
         if self.m2 < 1:
@@ -98,17 +88,11 @@ class ModelParams:
             raise ValueError(f"h={self.h} must be >= 1")
         if self.delta < 1:
             raise ValueError(f"delta={self.delta} must be >= 1")
-        if self.seq_len_mode not in SEQ_LEN_MODES:
-            raise ValueError(f"seq_len_mode {self.seq_len_mode!r} not in {SEQ_LEN_MODES}")
-
-    @property
-    def seq_len(self) -> int:
-        return self.h if self.seq_len_mode == "h" else self.h + 1
 
     @property
     def false_pool(self) -> int:
-        """Pairs tested but never embedded: seq_len * (delta - 1)."""
-        return self.seq_len * (self.delta - 1)
+        """Pairs tested but never embedded: h * (delta - 1)."""
+        return self.h * (self.delta - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +117,6 @@ def occupancy_pmf_vector(m2: int, k2: int, h: int) -> tuple[float, ...]:
         pmf[1:] = pmf[1:] * stay + pmf[:-1] * grow
         pmf[0] = 0.0
     return tuple(pmf[1:].tolist())
-
-
-def occupancy_pmf(m2: int, k2: int, h: int, alpha: int) -> float:
-    """Probability that exactly ``alpha`` filter bits are lit."""
-    top = min(m2, k2 * h)
-    if not 1 <= alpha <= top:
-        raise ValueError(f"alpha={alpha} outside [1, {top}]")
-    return occupancy_pmf_vector(m2, k2, h)[alpha - 1]
-
-
-def collision_probabilities(alpha: int, m2: int, k2: int) -> tuple[float, float]:
-    """(hit, miss) probability of one never-embedded pair given alpha lit bits."""
-    if not 0 <= alpha <= m2:
-        raise ValueError(f"alpha={alpha} outside [0, {m2}]")
-    hit = (alpha / m2) ** k2
-    return hit, 1.0 - hit
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +284,6 @@ def fp_subset_totals(
     )
 
 
-def conditional_fp_probability(
-    alpha: int,
-    params: ModelParams,
-    histogram: tuple[int, ...],
-    n_sequences: int,
-) -> tuple[float, bool]:
-    """Ambiguity probability given ``alpha`` lit bits, with a clamp flag.
-
-    (1 / |P|) * sum_J f_J * (1 - miss^J), clamped into [0, 1]. 1 - miss^J
-    is taken as -expm1(J * log1p(-hit)): a hit probability below machine
-    epsilon would otherwise round the whole value to 0.
-    """
-    hit, _ = collision_probabilities(alpha, params.m2, params.k2)
-    if n_sequences < 1:
-        raise ValueError("n_sequences must be >= 1")
-    log_miss = math.log1p(-hit) if hit < 1.0 else -math.inf
-    raw = math.fsum(
-        f * -math.expm1(j * log_miss) for j, f in enumerate(histogram, start=1)
-    ) / n_sequences
-    if raw > 1.0:
-        return 1.0, True
-    return raw, False
-
-
 @dataclass(frozen=True)
 class FpBreakdown:
     """Full evaluation trail of one false-positive probability."""
@@ -355,26 +299,46 @@ class FpBreakdown:
 
 
 def fp_probability(params: ModelParams, backend: str = "closed_form") -> FpBreakdown:
-    """Unconditional ambiguity probability, averaged over the occupancy law."""
+    """Unconditional ambiguity probability, averaged over the occupancy law.
+
+    Given alpha lit bits a never-embedded pair tests positive with
+    probability hit = (alpha / m2)^k2, and a sequence with J critical pairs
+    turns ambiguous unless all of them miss. Over the |P| admissible
+    sequences, f_J of which have J critical pairs:
+
+        Pr(ambiguous | alpha) = min(1, (1 / |P|) * sum_J f_J * (1 - (1 - hit)^J))
+
+    with a clamp flag; 1 - (1 - hit)^J is taken as -expm1(J * log1p(-hit)),
+    since a hit below machine epsilon would otherwise round it to 0. The
+    total is sum_alpha Pr(alpha) * Pr(ambiguous | alpha), capped at 1.
+    """
     if backend not in BACKENDS:
         raise ValueError(f"backend {backend!r} not in {BACKENDS}")
     # one position has no substitute: the exact histogram is all zeros there
-    if backend == "closed_form" and params.seq_len > 1:
+    if backend == "closed_form" and params.h > 1:
         hist = critical_pair_histogram_closed(params.delta, params.h)
     else:
-        hist = critical_pair_histogram(params.delta, params.seq_len)
-    n_seq = count_valid_sequences(params.delta, params.seq_len)
+        hist = critical_pair_histogram(params.delta, params.h)
+    n_seq = count_valid_sequences(params.delta, params.h)
     occ = occupancy_pmf_vector(params.m2, params.k2, params.h)
-    evals = [conditional_fp_probability(a, params, hist, n_seq) for a in range(1, len(occ) + 1)]
+    hit = (np.arange(1, len(occ) + 1) / params.m2) ** params.k2
+    with np.errstate(divide="ignore"):  # alpha = m2 lights every probe
+        log_miss = np.log1p(-hit)
+    raw = np.zeros(len(occ))
+    for j, f in enumerate(hist, start=1):
+        if f:
+            raw += f * -np.expm1(j * log_miss)
+    raw /= n_seq
+    conditional = np.minimum(raw, 1.0).tolist()
     return FpBreakdown(
         params=params,
         backend=backend,
         n_sequences=n_seq,
         occupancy=occ,
         critical_histogram=hist,
-        conditional=tuple(value for value, _ in evals),
-        total=min(1.0, math.fsum(p * value for p, (value, _) in zip(occ, evals))),
-        clamped=any(clamped for _, clamped in evals),
+        conditional=tuple(conditional),
+        total=min(1.0, math.fsum(p * value for p, value in zip(occ, conditional))),
+        clamped=bool((raw > 1.0).any()),
     )
 
 
@@ -388,7 +352,6 @@ class BackendComparison:
 
     delta: int
     h: int
-    seq_len_mode: str
     n_sequences: int
     closed: tuple[int, ...]
     exact: tuple[int, ...]
@@ -408,7 +371,8 @@ class BackendComparison:
     def csv_text(self) -> str:
         lines = [
             "# schema: clbf.fj-comparison.v1",
-            f"# delta={self.delta} h={self.h} seq_len_mode={self.seq_len_mode}"
+            # seq_len_mode is a field of the v1 schema; sequences have length h
+            f"# delta={self.delta} h={self.h} seq_len_mode=h"
             f" n_sequences={self.n_sequences}",
             "J,fitted,enumerated,abs_diff",
         ]
@@ -421,15 +385,11 @@ class BackendComparison:
         return "\n".join(lines) + "\n"
 
 
-def compare_backends(delta: int, h: int, seq_len_mode: str = "h") -> BackendComparison:
-    if seq_len_mode not in SEQ_LEN_MODES:
-        raise ValueError(f"seq_len_mode {seq_len_mode!r} not in {SEQ_LEN_MODES}")
-    seq_len = h if seq_len_mode == "h" else h + 1
+def compare_backends(delta: int, h: int) -> BackendComparison:
     return BackendComparison(
         delta=delta,
         h=h,
-        seq_len_mode=seq_len_mode,
-        n_sequences=count_valid_sequences(delta, seq_len),
+        n_sequences=count_valid_sequences(delta, h),
         closed=critical_pair_histogram_closed(delta, h),
-        exact=critical_pair_histogram(delta, seq_len),
+        exact=critical_pair_histogram(delta, h),
     )

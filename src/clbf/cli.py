@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from . import __version__
 from .analytics import (
     BACKENDS,
-    SEQ_LEN_MODES,
     ModelParams,
     compare_backends,
     fp_probability,
@@ -142,38 +141,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.delta is None or args.hops is None:
             print("analyze --compare-histograms needs --delta and --hops", file=sys.stderr)
             return 2
-        print(compare_backends(args.delta, args.hops, args.seq_len_mode).csv_text(), end="")
+        print(compare_backends(args.delta, args.hops).csv_text(), end="")
         return 0
     if None in (args.m2, args.k2, args.hops, args.delta):
         print("analyze needs --m2, --k2, --hops and --delta", file=sys.stderr)
         return 2
     if args.sweep:
         param, values = parse_sweep_spec(args.sweep)
+        fields = {"m2": args.m2, "k2": args.k2, "h": args.hops, "delta": args.delta}
+        # every point is validated before the first row goes out
+        points = [ModelParams(**{**fields, param: v}) for v in values]
         print("# schema: clbf.analyze.v1")
         print("# columns: parameter,value,model_fp,clamped")
-        for v in values:
-            fields = {"m2": args.m2, "k2": args.k2, "delta": args.delta}
-            fields[param] = v
-            bd = fp_probability(
-                ModelParams(
-                    m2=fields["m2"],
-                    k2=fields["k2"],
-                    h=args.hops,
-                    delta=fields["delta"],
-                    seq_len_mode=args.seq_len_mode,
-                ),
-                backend=args.backend,
-            )
+        for v, params in zip(values, points):
+            bd = fp_probability(params, backend=args.backend)
             print(f"{param},{v},{_f(bd.total)},{int(bd.clamped)}")
         return 0
     bd = fp_probability(
-        ModelParams(
-            m2=args.m2,
-            k2=args.k2,
-            h=args.hops,
-            delta=args.delta,
-            seq_len_mode=args.seq_len_mode,
-        ),
+        ModelParams(m2=args.m2, k2=args.k2, h=args.hops, delta=args.delta),
         backend=args.backend,
     )
     p = bd.params
@@ -183,7 +168,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     print(f"filter: m2={p.m2} k2={p.k2}; route: hops={p.h} fragments={p.delta}")
     print(
-        f"sequence length {p.seq_len} ({p.seq_len_mode}), decoy pool {p.false_pool}, "
+        f"sequence length {p.h} (h), decoy pool {p.false_pool}, "
         f"admissible sequences {bd.n_sequences}"
     )
     print(f"occupancy: mean {_f(mean_alpha)}, support 1..{len(bd.occupancy)}")
@@ -212,15 +197,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             trials,
             seed,
             backend=args.backend,
-            seq_len_mode=args.seq_len_mode,
         )
         _write(os.path.join(out, f"{stem}.csv"), sweep_csv_text(rows))
         print(_sweep_summary(stem, rows))
         return 0
     result = run_point(scn.setup, trials, seed, point_tag=0)
-    model = fp_probability(
-        scn.setup.model_params(args.seq_len_mode), backend=args.backend
-    ).total
+    model = fp_probability(scn.setup.model_params(), backend=args.backend).total
     _write(os.path.join(out, f"{stem}.csv"), point_csv_text(scn, result, model))
     print(
         f"{stem}: fp={_f(result.fp_rate)} "
@@ -241,7 +223,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             args.nodes,
             args.delta,
             eps1=args.eps1,
-            seq_len_mode=args.seq_len_mode,
         )
         print(
             f"edge filter: m1={split.m1} k1={split.k1} "
@@ -255,7 +236,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.m2 is None:
         print("optimize needs --budget or --m2", file=sys.stderr)
         return 2
-    k2, fp = optimize_k2(args.m2, args.hops, args.delta, seq_len_mode=args.seq_len_mode)
+    k2, fp = optimize_k2(args.m2, args.hops, args.delta)
     print(f"k2={k2} (model fp {_f(fp)}) for m2={args.m2} hops={args.hops} delta={args.delta}")
     return 0
 
@@ -349,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--hops", type=int, help="relay path length")
     a.add_argument("--delta", type=int, help="number of road fragments")
     a.add_argument("--backend", choices=BACKENDS, default="closed_form")
-    a.add_argument("--seq-len-mode", choices=SEQ_LEN_MODES, default="h")
     a.add_argument("--sweep", metavar="PARAM:VALUES", help="emit CSV over one parameter")
     a.add_argument(
         "--compare-histograms",
@@ -363,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, help="override the scenario's trial count")
     s.add_argument("--seed", type=int, help="override the scenario's base seed")
     s.add_argument("--backend", choices=BACKENDS, default="closed_form")
-    s.add_argument("--seq-len-mode", choices=SEQ_LEN_MODES, default="h")
     s.add_argument("--out", help="output directory (default $CLBF_OUT_DIR or .)")
     s.set_defaults(func=cmd_simulate)
 
@@ -375,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--nodes", type=int, help="network size, for the edge-side bound")
     o.add_argument("--eps1", type=float, default=1e-3,
                    help="tolerated edge-recovery error (default 1e-3)")
-    o.add_argument("--seq-len-mode", choices=SEQ_LEN_MODES, default="h")
     o.set_defaults(func=cmd_optimize)
 
     f = sub.add_parser("figures", help="run all bundled presets, write CSV + gnuplot")

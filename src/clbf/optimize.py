@@ -31,7 +31,6 @@ def optimize_k2(
     h: int,
     delta: int,
     k_range: range | None = None,
-    seq_len_mode: str = "h",
 ) -> tuple[int, float]:
     """Hash count minimizing the modeled false-positive probability.
 
@@ -39,13 +38,15 @@ def optimize_k2(
     stretch of the curve (including the all-zero curve at delta=1) yields
     the cheapest filter.
     """
+    if m2 < 1:
+        raise ValueError(f"m2={m2} must be >= 1")
     if k_range is None:
         k_range = range(1, min(m2, 64) + 1)
     if len(k_range) == 0:
         raise InfeasibleError("empty hash-count search range")
     best_k, best_fp = None, math.inf
     for k2 in k_range:
-        params = ModelParams(m2=m2, k2=k2, h=h, delta=delta, seq_len_mode=seq_len_mode)
+        params = ModelParams(m2=m2, k2=k2, h=h, delta=delta)
         fp = fp_probability(params).total
         if fp < best_fp:
             best_k, best_fp = k2, fp
@@ -83,7 +84,6 @@ def split_budget(
     n_nodes: int,
     delta: int,
     eps1: float = 1e-3,
-    seq_len_mode: str = "h",
 ) -> BudgetSplit:
     """Divide ``m`` total bits between the edge and location filters.
 
@@ -92,6 +92,8 @@ def split_budget(
     takes the smallest edge filter that satisfies it (never below
     MIN_EDGE_BITS), leaving the rest of the budget for the location side.
     """
+    if h < 1:
+        raise ValueError(f"h={h} must be >= 1")
     if n_nodes < 2:
         raise InfeasibleError("need at least two nodes for an edge query")
     if not 0.0 < eps1 <= 1.0:
@@ -105,7 +107,7 @@ def split_budget(
             m2 = m - m1
             if m2 < 1:
                 break
-            k2, fp2 = optimize_k2(m2, h, delta, seq_len_mode=seq_len_mode)
+            k2, fp2 = optimize_k2(m2, h, delta)
             return BudgetSplit(
                 m1=m1, k1=k1, m2=m2, k2=k2, edge_fp_bound=bound, location_fp=fp2
             )

@@ -390,14 +390,8 @@ class SimulationSetup:
     def segment_dictionary(self) -> SegmentDictionary:
         return SegmentDictionary(self.road_length_m, self.num_segments)
 
-    def model_params(self, seq_len_mode: str = "h") -> ModelParams:
-        return ModelParams(
-            m2=self.m2,
-            k2=self.k2,
-            h=self.h,
-            delta=self.num_segments,
-            seq_len_mode=seq_len_mode,
-        )
+    def model_params(self) -> ModelParams:
+        return ModelParams(m2=self.m2, k2=self.k2, h=self.h, delta=self.num_segments)
 
 
 def trial_packet(
@@ -507,7 +501,6 @@ def run_sweep(
     trials: int,
     base_seed: int,
     backend: str = "closed_form",
-    seq_len_mode: str = "h",
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> list[SweepRow]:
     """Sweep one parameter; each point gets its own tag (its sweep index)."""
@@ -528,7 +521,7 @@ def run_sweep(
     )
     rows = []
     for i, (point, value) in enumerate(zip(points, values)):
-        model = fp_probability(point.model_params(seq_len_mode), backend=backend).total
+        model = fp_probability(point.model_params(), backend=backend).total
         unique, fp, miss, skipped = next(counts)
         rows.append(
             SweepRow(

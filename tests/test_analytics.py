@@ -10,9 +10,7 @@ from clbf.analytics import (
     BACKENDS,
     ModelParams,
     binom,
-    collision_probabilities,
     compare_backends,
-    conditional_fp_probability,
     count_critical_pairs,
     critical_pair_histogram,
     critical_pair_histogram_closed,
@@ -22,7 +20,6 @@ from clbf.analytics import (
     fp_probability,
     fp_subset_count,
     fp_subset_totals,
-    occupancy_pmf,
     occupancy_pmf_vector,
 )
 from clbf.segments import (
@@ -120,18 +117,11 @@ def test_occupancy_against_exhaustive_throws():
 
 
 def test_occupancy_trivial_cases():
-    assert occupancy_pmf(2, 1, 1, alpha=1) == pytest.approx(1.0)
+    assert occupancy_pmf_vector(2, 1, 1) == (pytest.approx(1.0),)
     vec = occupancy_pmf_vector(2, 1, 2)
     assert vec == (pytest.approx(0.5), pytest.approx(0.5))
     with pytest.raises(ValueError):
-        occupancy_pmf(8, 2, 2, alpha=0)
-
-
-def test_collision_probabilities():
-    hit, miss = collision_probabilities(alpha=3, m2=6, k2=2)
-    assert hit == pytest.approx(0.25)
-    assert miss == pytest.approx(0.75)
-    assert collision_probabilities(6, 6, 4)[0] == pytest.approx(1.0)
+        occupancy_pmf_vector(0, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +265,12 @@ def test_subset_totals_match_direct_double_sum():
 
 def subset_total_conditional(alpha, params, hist):
     """The long form, unclamped: (1/|P|) * sum_j hit^j * miss^(F-j) * C_j."""
-    hit, miss = collision_probabilities(alpha, params.m2, params.k2)
-    totals = fp_subset_totals(hist, params.delta, params.seq_len)
+    hit = (alpha / params.m2) ** params.k2
+    miss = 1.0 - hit
+    totals = fp_subset_totals(hist, params.delta, params.h)
     pool = params.false_pool
     terms = [hit**j * miss ** (pool - j) * c for j, c in enumerate(totals, start=1)]
-    return math.fsum(terms) / count_valid_sequences(params.delta, params.seq_len)
+    return math.fsum(terms) / count_valid_sequences(params.delta, params.h)
 
 
 BUDGET_SPLIT = ModelParams(m2=3975, k2=64, h=5, delta=15)  # hit < 1e-70 for every alpha
@@ -288,40 +279,46 @@ BUDGET_SPLIT = ModelParams(m2=3975, k2=64, h=5, delta=15)  # hit < 1e-70 for eve
 def test_conditional_fp_equals_subset_total_sum():
     geometries = (
         ModelParams(m2=32, k2=2, h=4, delta=3),
-        ModelParams(m2=24, k2=3, h=5, delta=4, seq_len_mode="h_plus_1"),
+        ModelParams(m2=24, k2=3, h=6, delta=4),
         ModelParams(m2=200, k2=8, h=15, delta=8),
         BUDGET_SPLIT,
     )
+    saw_clamp = False
     for params in geometries:
-        n_seq = count_valid_sequences(params.delta, params.seq_len)
         top = min(params.m2, params.k2 * params.h)
-        for hist in (
-            critical_pair_histogram_closed(params.delta, params.h),
-            critical_pair_histogram(params.delta, params.seq_len),
-        ):
+        for backend in BACKENDS:
+            bd = fp_probability(params, backend=backend)
+            assert len(bd.conditional) == top
             for alpha in sorted({1, 2, top // 3, top // 2, top}):
-                got, clamped = conditional_fp_probability(alpha, params, hist, n_seq)
-                want = subset_total_conditional(alpha, params, hist)
+                got = bd.conditional[alpha - 1]
+                want = subset_total_conditional(alpha, params, bd.critical_histogram)
                 assert got > 0.0  # a hit far below machine epsilon still counts
-                assert clamped == (want > 1.0)
+                if want > 1.0:
+                    assert bd.clamped, (params, backend, alpha)
+                    saw_clamp = True
                 assert math.isclose(got, min(want, 1.0), rel_tol=1e-12), (params, alpha)
+    assert saw_clamp  # the fitted histogram overshoots at m2=24, h=6
 
 
 def test_conditional_fp_saturates_cleanly():
-    params = ModelParams(m2=8, k2=1, h=6, delta=4)
-    hist = critical_pair_histogram(params.delta, params.seq_len)
-    value, _ = conditional_fp_probability(8, params, hist, sum(hist))
-    assert value == pytest.approx(1.0)  # alpha = m2 makes every probe hit
+    # the support reaches alpha = m2, where every probe hits: log1p(-1) = -inf
+    params = ModelParams(m2=6, k2=1, h=6, delta=4)
+    for backend in BACKENDS:
+        bd = fp_probability(params, backend=backend)
+        assert len(bd.conditional) == params.m2
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in bd.conditional)
+        assert bd.conditional[-1] == 1.0
+    assert not fp_probability(params, backend="oracle").clamped
 
 
 def test_total_fp_oracle_matches_sequence_expectation():
     # full dual route: average 1-(1-hit)^J over sequences and occupancy
     params = ModelParams(m2=24, k2=2, h=5, delta=3)
-    seqs = enumerate_valid_sequences(params.delta, params.seq_len)
+    seqs = enumerate_valid_sequences(params.delta, params.h)
     occ = occupancy_pmf_vector(params.m2, params.k2, params.h)
     expected = 0.0
     for alpha, p_alpha in enumerate(occ, start=1):
-        hit, _ = collision_probabilities(alpha, params.m2, params.k2)
+        hit = (alpha / params.m2) ** params.k2
         per_seq = [
             1.0 - (1.0 - hit) ** brute_critical_pairs(s, params.delta) for s in seqs
         ]
@@ -341,16 +338,6 @@ def test_fp_probability_breakdown_shape():
         assert len(bd.conditional) == len(bd.occupancy)
     with pytest.raises(ValueError):
         fp_probability(params, backend="guess")
-
-
-def test_seq_len_mode_changes_the_pool():
-    plain = ModelParams(m2=64, k2=3, h=6, delta=4)
-    longer = ModelParams(m2=64, k2=3, h=6, delta=4, seq_len_mode="h_plus_1")
-    assert plain.seq_len == 6 and longer.seq_len == 7
-    assert plain.false_pool == 18 and longer.false_pool == 21
-    assert fp_probability(plain).total != fp_probability(longer).total
-    with pytest.raises(ValueError):
-        ModelParams(m2=64, k2=3, h=6, delta=4, seq_len_mode="both")
 
 
 def test_single_fragment_road_never_ambiguous():

@@ -147,11 +147,24 @@ def test_cli_analyze_needs_all_parameters(capsys):
         ["analyze", "--m2", "0", "--k2", "3", "--hops", "4", "--delta", "3"],
         ["analyze", "--m2", "64", "--k2", "3", "--hops", "4", "--delta", "0"],
         ["optimize", "--m2", "64", "--hops", "0", "--delta", "3"],
+        ["optimize", "--budget", "4096", "--hops", "0", "--delta", "15", "--nodes", "11"],
+        ["optimize", "--m2", "0", "--hops", "5", "--delta", "3"],
     ],
 )
 def test_cli_out_of_range_parameter_exits_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_analyze_sweep_rejects_a_bad_point_before_any_output(capsys):
+    rc = main(
+        ["analyze", "--m2", "64", "--k2", "3", "--hops", "4", "--delta", "3",
+         "--sweep", "k2:1,0"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_analyze_sweep_csv(capsys):
