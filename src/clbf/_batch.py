@@ -2,7 +2,7 @@
 
 Numerically identical to the reference path in `simulate`/`protocol`. A
 point runs in batches of trials, and results never depend on the batch
-size. Each batch passes through three stages.
+size. Each batch passes through two stages.
 
 Sample. The batch sampler replays, over arrays, the stream each trial's
 `trial_rng` generator would produce: numpy's Philox4x64-10 blocks (counter
@@ -18,22 +18,20 @@ scalar `trial_rng` + `draw_trial_path` only when one of its draws hit a
 Lemire rejection, or when its sequence count reaches 2^32, which numpy
 draws from full 64-bit words.
 
-Embed. Every trial's keys are hashed by `bloom`'s array form of
-`hash_indices` (FNV-1a over key-byte columns, then the seeded slots), which
-sets the filter bits `simulate.trial_packet` embeds hop by hop.
-
-Probe and classify. Every ordered pair of relays is probed against the
-edge filter and every admissible (position, fragment) cell of the true path
-against the location filter, through `bloom`'s level-by-level probe, the
-one the receiver runs: slot L is computed only for keys still positive
-after L levels. When a path of two or more hops gets exactly its true
-relay edges back from the edge filter, the edge set is a single directed
-chain, so the only simple path of full length is the true one, and
-counting provenance candidates reduces to a dynamic program, saturating at
-2, over the location filter's (position, fragment) membership matrix.
-Single-hop trials, and trials where the edge filter returned anything
-extra, fall back to the reference recovery on a packet that
-`Clbf.from_bits` rebuilds from the very same filter bits.
+Hash, embed and probe. Every ordered pair of relays and every admissible
+(position, fragment) cell of the true path is hashed once, by
+`protocol.key_hashes`. The true path's edges and cells are among those
+keys, so their hashes set the filter bits `simulate.trial_packet` embeds
+hop by hop; then every key is probed against its filter through `bloom`'s
+level-by-level probe, the one the receiver runs: slot L is computed only
+for keys still positive after L levels. When a path of two or more hops
+gets exactly its true relay edges back from the edge filter, the edge set
+is a single directed chain, so the only simple path of full length is the
+true one, and counting provenance candidates reduces to a dynamic program,
+saturating at 2, over the location filter's (position, fragment)
+membership matrix. Single-hop trials, and trials where the edge filter
+returned anything extra, fall back to the reference recovery on a packet
+that `Clbf.from_bits` rebuilds from the very same filter bits.
 
 Workers. A point's trials split into contiguous ranges, and since no
 result depends on where a batch starts, the ranges can run anywhere and be
@@ -44,10 +42,6 @@ process (rebuilt if a worker dies). A point is cut into one range per
 worker, each at least a batch long; a list that makes a single range, or
 a host with one CPU, runs inline in the caller. Results are the same for
 any worker count.
-
-Keys are laid out as `bloom`'s byte columns (u16 length prefix before
-every field, values little-endian); a unit test pins them against
-`protocol.edge_key`/`location_key`.
 """
 
 from __future__ import annotations
@@ -60,20 +54,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bloom import (
-    GAMMA,
-    _GAMMA,
-    _PRIME,
-    _fnv,
-    _le_bytes,
-    _mix,
-    _probe,
-    _slots,
-    _u16_field,
-    _u64_field,
-    mix64,
-)
-from .protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, recover_provenance
+from .bloom import GAMMA, _GAMMA, _mix, _probe, _slots, mix64
+from .protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, key_hashes, recover_provenance
 from .segments import count_valid_sequences
 from .simulate import (
     NoValidPath,
@@ -361,122 +343,86 @@ class _PathLaw:
 
 
 # ---------------------------------------------------------------------------
-# embed
+# hash, embed and probe
 
 
-class _Packets(
-    namedtuple("_Packets", "seeds pids pid_bytes tag_edge tag_loc paths seqs bits1 bits2")
-):
-    """One batch of embedded packets, one row per drawn trial.
-
-    `tag_edge`/`tag_loc` are the seed tags of the two filters, `bits1` and
-    `bits2` their bits (edge filter, location filter).
-    """
-
-    __slots__ = ()
-
-
-def _embed(setup: SimulationSetup, seeds, pids, paths, seqs) -> _Packets:
-    """Both filters of every trial, as the relays of its path would fill them."""
-    batch, h = paths.shape
-    rows = np.arange(batch)[:, None, None]
-    pid_bytes = _le_bytes(pids, 8)
-    tag_edge = _mix(seeds + _GAMMA)
-    tag_loc = _mix(seeds + _U64(1) + _GAMMA)
-    prev, curr = paths[:, 1:], paths[:, :-1]
-    pid_2d = [b[:, None] for b in pid_bytes]
-    edge_h0 = _fnv(
-        (batch, h - 1),
-        [*_u16_field(prev), *_u16_field(curr), *_u64_field(pid_2d)],
-    )
-    loc_h0 = _fnv(
-        (batch, h),
-        [*_u16_field(paths), *_u16_field(seqs), *_u64_field(pid_2d)],
-    )
-    bits1 = np.zeros((batch, setup.m1), dtype=bool)
-    bits1[rows, _slots(edge_h0 ^ tag_edge[:, None], setup.m1, 0, setup.k1)] = True
-    bits2 = np.zeros((batch, setup.m2), dtype=bool)
-    bits2[rows, _slots(loc_h0 ^ tag_loc[:, None], setup.m2, 0, setup.k2)] = True
-    return _Packets(seeds, pids, pid_bytes, tag_edge, tag_loc, paths, seqs, bits1, bits2)
-
-
-# ---------------------------------------------------------------------------
-# probe and classify
-
-
-class _Universe(namedtuple("_Universe", "pair_prefix pair_lookup cell_pos cell_seg")):
+class _Universe(namedtuple("_Universe", "pair_a pair_b pair_lookup cell_pos cell_seg cell_lookup")):
     """The keys a point's receiver probes, built once per point.
 
-    Edge keys: every ordered pair of relays, as `pair_prefix`, the FNV state
-    after each pair's 10 leading key bytes, and `pair_lookup`, mapping
-    a * n + b to the pair's column (-1 off the relay pairs). Pairs that
-    touch the receiver (node 0) are left out, because the path search runs
-    over the relays alone, so an edge there can change no recovery.
-    Location keys: the (position, fragment) cells an admissible sequence
-    can visit, fragment s at position i only for s <= i + 1.
+    Edge keys: every ordered pair (`pair_a`, `pair_b`) of relays, and
+    `pair_lookup`, mapping a * n + b to the pair's column (-1 off the relay
+    pairs). Pairs that touch the receiver (node 0) are left out, because
+    the path search runs over the relays alone, so an edge there can change
+    no recovery. Location keys: the (position, fragment) cells an
+    admissible sequence can visit, fragment s at position i only for
+    s <= i + 1, and `cell_lookup`, mapping (position, fragment - 1) to the
+    cell's column (-1 off those cells).
     """
 
     __slots__ = ()
 
 
 def _universe(setup: SimulationSetup) -> _Universe:
-    n = setup.n_nodes
+    n, h = setup.n_nodes, setup.h
+    width = min(setup.num_segments, h)
     a = np.repeat(np.arange(1, n, dtype=np.uint64), n - 1)
     b = np.tile(np.arange(1, n, dtype=np.uint64), n - 1)
     keep = a != b
     a, b = a[keep], b[keep]
-    prefix = _fnv(a.shape, [*_u16_field(a), *_u16_field(b), 8, 0])
-    lookup = np.full(n * n, -1, dtype=np.int64)
-    lookup[(a * _U64(n) + b).astype(np.int64)] = np.arange(len(a))
-    pos, seg = np.nonzero(
-        np.arange(setup.num_segments)[None, :] <= np.arange(setup.h)[:, None]
-    )
-    return _Universe(prefix, lookup, pos, seg + 1)
+    pair_lookup = np.full(n * n, -1, dtype=np.int64)
+    pair_lookup[(a * _U64(n) + b).astype(np.int64)] = np.arange(len(a))
+    pos, seg = np.nonzero(np.arange(width)[None, :] <= np.arange(h)[:, None])
+    cell_lookup = np.full((h, width), -1, dtype=np.int64)
+    cell_lookup[pos, seg] = np.arange(len(pos))
+    return _Universe(a, b, pair_lookup, pos, (seg + 1).astype(np.uint64), cell_lookup)
 
 
-def _classify(setup: SimulationSetup, u: _Universe, pk: _Packets) -> np.ndarray:
-    """Outcome codes (indices into `_LABELS`) of one batch of packets."""
+def _classify(setup: SimulationSetup, u: _Universe, seeds, pids, paths, seqs) -> np.ndarray:
+    """Outcome codes (indices into `_LABELS`) of one batch of drawn trials.
+
+    Each row is one trial: its seed and pid, and its path and fragments
+    (uint64, RSU-outward). Both filters are filled from the probed keys'
+    own hashes, then probed.
+    """
     n, h, delta = setup.n_nodes, setup.h, setup.num_segments
-    paths, seqs, pid_bytes = pk.paths, pk.seqs, pk.pid_bytes
+    width = u.cell_lookup.shape[1]
     batch = len(paths)
-    rows = np.arange(batch)
+    rows = np.arange(batch)[:, None]
 
-    # probe every relay pair; continue the cached prefix with pid bytes
-    acc = u.pair_prefix[None, :] ^ pid_bytes[0][:, None]
-    acc *= _PRIME
-    for j in range(1, 8):
-        acc ^= pid_bytes[j][:, None]
-        acc *= _PRIME
-    acc ^= pk.tag_edge[:, None]
-    edge_member = _probe(pk.bits1, acc, setup.k1)
-    del acc
-
+    # hash every relay pair; the true edges' hashes fill the edge filter
+    edge = key_hashes(u.pair_a, u.pair_b, pids[:, None])
+    edge ^= _mix(seeds + _GAMMA)[:, None]
     true_pos = u.pair_lookup[(paths[:, 1:] * _U64(n) + paths[:, :-1]).astype(np.int64)]
     if not (true_pos >= 0).all():
         raise AssertionError("relay path holds a self-edge")
-    if not edge_member[rows[:, None], true_pos].all():
+    bits1 = np.zeros((batch, setup.m1), dtype=bool)
+    bits1[rows[:, :, None], _slots(edge[rows, true_pos], setup.m1, 0, setup.k1)] = True
+    edge_member = _probe(bits1, edge, setup.k1)
+    del edge
+    if not edge_member[rows, true_pos].all():
         raise AssertionError("edge filter dropped a stored edge")
     # one hop has no edge to pin the path down: every node is a candidate
     clean = (edge_member.sum(axis=1) == h - 1) & (h >= 2)
 
-    # probe the admissible (position, fragment) cells of the true path
-    loc_h0 = _fnv(
-        (batch, len(u.cell_pos)),
-        [
-            *_u16_field(paths[:, u.cell_pos]),
-            *_u16_field(u.cell_seg.astype(np.uint64)),
-            *_u64_field([b[:, None] for b in pid_bytes]),
-        ],
-    )
-    loc_h0 ^= pk.tag_loc[:, None]
-    reach = np.zeros((batch, h, delta), dtype=bool)
-    reach[:, u.cell_pos, u.cell_seg - 1] = _probe(pk.bits2, loc_h0, setup.k2)
-    truth_cols = (seqs - _U64(1)).astype(np.int64)
-    if not reach[rows[:, None], np.arange(h)[None, :], truth_cols].all():
+    # hash the admissible (position, fragment) cells of the true path; the
+    # true cells' hashes fill the location filter
+    loc = key_hashes(paths[:, u.cell_pos], u.cell_seg, pids[:, None])
+    loc ^= _mix(seeds + _U64(1) + _GAMMA)[:, None]
+    frag = (seqs - _U64(1)).astype(np.int64)
+    true_cells = u.cell_lookup[np.arange(h), np.minimum(frag, width - 1)]
+    if not ((true_cells >= 0) & (frag < width)).all():
+        raise AssertionError("a true cell lies outside the probed cells")
+    bits2 = np.zeros((batch, setup.m2), dtype=bool)
+    bits2[rows[:, :, None], _slots(loc[rows, true_cells], setup.m2, 0, setup.k2)] = True
+    loc_member = _probe(bits2, loc, setup.k2)
+    del loc
+    if not loc_member[rows, true_cells].all():
         raise AssertionError("location filter dropped a stored pair")
+    reach = np.zeros((batch, h, width), dtype=bool)
+    reach[:, u.cell_pos, u.cell_seg - _U64(1)] = loc_member
 
     # admissible-sequence count over the membership matrix, capped at 2
-    cur = np.zeros((batch, delta + 1), dtype=np.int64)
+    cur = np.zeros((batch, width + 1), dtype=np.int64)
     cur[:, 1] = reach[:, 0, 0]
     for i in range(1, h):
         nxt = np.zeros_like(cur)
@@ -490,9 +436,9 @@ def _classify(setup: SimulationSetup, u: _Universe, pk: _Packets) -> np.ndarray:
     for b in np.flatnonzero(~clean):
         # extra edges recovered: replay full recovery on these bits
         pkt = Clbf.from_bits(
-            setup.m1, setup.k1, setup.m2, setup.k2, int(pk.seeds[b]), int(pk.pids[b]), h,
-            np.packbits(pk.bits1[b], bitorder="little").tobytes(),
-            np.packbits(pk.bits2[b], bitorder="little").tobytes(),
+            setup.m1, setup.k1, setup.m2, setup.k2, int(seeds[b]), int(pids[b]), h,
+            np.packbits(bits1[b], bitorder="little").tobytes(),
+            np.packbits(bits2[b], bitorder="little").tobytes(),
         )
         truth = (tuple(map(int, paths[b])), tuple(map(int, seqs[b])))
         label = recover_provenance(pkt, list(range(n)), delta, rsu=0, truth=truth).classification
@@ -512,11 +458,10 @@ def _run(
         seeds = _trial_seeds(base_seed, point_tag, t)
         drawn, paths, seqs = law.sample(seeds)
         if drawn.any():
-            pk = _embed(
-                setup, seeds[drawn], (_U64(point_tag << 32) | t)[drawn],
+            codes[t0 - start + np.flatnonzero(drawn)] = _classify(
+                setup, universe, seeds[drawn], (_U64(point_tag << 32) | t)[drawn],
                 paths[drawn].astype(np.uint64), seqs[drawn].astype(np.uint64),
             )
-            codes[t0 - start + np.flatnonzero(drawn)] = _classify(setup, universe, pk)
     return codes
 
 
@@ -656,13 +601,8 @@ def occupancy_counts(
     for t0 in range(0, trials, 4096):
         t1 = min(t0 + 4096, trials)
         t_arr = np.arange(t0, t1, dtype=np.uint64)
-        seeds = _trial_seeds(base_seed, 0, t_arr)
-        tags = _mix(seeds + _GAMMA)
-        pid_bytes = [b[:, None] for b in _le_bytes(t_arr, 8)]
-        h0 = _fnv(
-            (t1 - t0, h),
-            [*_u16_field(node_axis), 2, 0, 1, 0, *_u64_field(pid_bytes)],
-        )
+        tags = _mix(_trial_seeds(base_seed, 0, t_arr) + _GAMMA)
+        h0 = key_hashes(node_axis, 1, t_arr[:, None])
         idx = _slots(h0 ^ tags[:, None], m2, 0, k2)
         bits = np.zeros((t1 - t0, m2), dtype=bool)
         bits[np.arange(t1 - t0)[:, None, None], idx] = True

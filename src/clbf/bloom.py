@@ -27,7 +27,8 @@ key bytes, the seeded slot of every level, and a probe that tests arrays of
 key hashes level by level, computing slot L only for the keys still
 positive after L levels. The receiver (`BloomFilter.contains_hashes`) and
 the simulation engine both use it; a property test keeps it equal to the
-scalar `contains` key by key.
+scalar `contains` key by key. The byte columns of the protocol's keys are
+laid out by one function, `protocol.key_hashes`.
 
 Serialization is little-endian: a 14-byte header (m: u32, k: u16,
 seed: u64) followed by ceil(m / 8) bytes of bits packed LSB-first.
@@ -146,20 +147,6 @@ def _fnv(shape: tuple[int, ...], terms) -> np.ndarray:
             acc ^= t
         acc *= _PRIME
     return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
-
-
-def _le_bytes(values: np.ndarray, width: int) -> list[np.ndarray]:
-    return [(values >> _U64(8 * j)) & _U64(0xFF) for j in range(width)]
-
-
-def _u16_field(values: np.ndarray) -> list:
-    """The byte columns `encode_key` writes for a u16 field: length prefix (2, 0), value LE."""
-    return [2, 0, *_le_bytes(values, 2)]
-
-
-def _u64_field(values_bytes: list) -> list:
-    """The byte columns of a u64 field, from its eight little-endian byte columns."""
-    return [8, 0, *values_bytes]
 
 
 def _slots(base: np.ndarray, m: int, first: int, stop: int) -> np.ndarray:

@@ -91,13 +91,18 @@ def split_budget(
     requirement is the union bound min(1, n*(n-1)*fp) <= eps1. The scan
     takes the smallest edge filter that satisfies it (never below
     MIN_EDGE_BITS), leaving the rest of the budget for the location side.
+
+    Malformed input (m < 1, h < 1, n_nodes < 2, eps1 outside (0, 1])
+    raises ValueError; InfeasibleError means no split meets eps1.
     """
+    if m < 1:
+        raise ValueError(f"budget m={m} must be >= 1")
     if h < 1:
         raise ValueError(f"h={h} must be >= 1")
     if n_nodes < 2:
-        raise InfeasibleError("need at least two nodes for an edge query")
-    if not 0.0 < eps1 <= 1.0:
-        raise InfeasibleError(f"eps1 {eps1} outside (0, 1]")
+        raise ValueError(f"n_nodes={n_nodes}: need at least two nodes for an edge query")
+    if not 0.0 < eps1 <= 1.0:  # false for nan
+        raise ValueError(f"eps1 {eps1} outside (0, 1]")
     pairs = n_nodes * (n_nodes - 1)
     for m1 in range(MIN_EDGE_BITS, m):
         # round-half-up; Python's round() would go to even

@@ -23,6 +23,11 @@ false negatives.
 Node paths are listed RSU-outward (first element = the final relay,
 last element = the source), matching the segment-sequence convention.
 
+Keys are (u16, u16, u64 pid) field tuples under `encode_key`: `edge_key`
+and `location_key` build one key's bytes, and `key_hashes` hashes the same
+layout over arrays of fields, for the receiver's probes here and for the
+simulation engine.
+
 Wire format, all little-endian: pid u64, hop_count u8, m1 u32, m2 u32,
 k1 u16, k2 u16, seed u64 (29 bytes), then the raw packed bits of the edge
 filter and the location filter. The two filters derive their seeds from
@@ -37,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bloom import BloomFilter, ParameterError, _fnv, _u16_field, _u64_field, encode_key
+from .bloom import BloomFilter, ParameterError, _fnv, encode_key
 from .segments import ResourceCapError, is_valid_sequence
 
 __all__ = [
@@ -45,6 +50,7 @@ __all__ = [
     "ProtocolError",
     "RecoveryOutcome",
     "edge_key",
+    "key_hashes",
     "location_key",
     "location_table",
     "recover_edges",
@@ -201,20 +207,30 @@ def _node_ids(nodes: Iterable[int]) -> np.ndarray:
     return np.array(ids, dtype=np.uint64)
 
 
-def _key_hashes(first: np.ndarray, second: np.ndarray, pid: int) -> np.ndarray:
-    """FNV-1a hashes of the (u16, u16, pid) keys of `edge_key`/`location_key`:
-    entry (i, j) hashes the key of ``first[i]`` and ``second[j]``."""
-    pid_bytes = list(_u64(pid, "pid"))
-    return _fnv(
-        (len(first), len(second)),
-        [*_u16_field(first[:, None]), *_u16_field(second), *_u64_field(pid_bytes)],
-    )
+def key_hashes(first, second, pid) -> np.ndarray:
+    """FNV-1a hashes of `edge_key`/`location_key` keys over arrays.
+
+    Each field is a Python int or a uint64 array, and the three broadcast
+    together: ``key_hashes(ids[:, None], ids, pid)`` hashes every ordered
+    pair of ``ids``. Bytes shared along an axis are hashed once. An int
+    field gives plain, range-checked bytes, whose zeros cost no XOR; array
+    fields are not range-checked.
+    """
+    terms = []
+    for value, width, what in ((first, 2, "key field"), (second, 2, "key field"), (pid, 8, "pid")):
+        if isinstance(value, int):
+            data = (_u16 if width == 2 else _u64)(value, what)
+        else:
+            data = [(value >> np.uint64(8 * j)) & np.uint64(0xFF) for j in range(width)]
+        terms += [width, 0, *data]  # `encode_key`: u16 length prefix, value little-endian
+    shape = np.broadcast_shapes(np.shape(first), np.shape(second), np.shape(pid))
+    return _fnv(shape, terms)
 
 
 def recover_edges(clbf: Clbf, nodes: Sequence[int]) -> set[tuple[int, int]]:
     """All ordered node pairs that test positive in the edge filter."""
     ids = _node_ids(nodes)
-    member = clbf.edge_filter.contains_hashes(_key_hashes(ids, ids, clbf.pid))
+    member = clbf.edge_filter.contains_hashes(key_hashes(ids[:, None], ids, clbf.pid))
     np.fill_diagonal(member, False)
     a, b = np.nonzero(member)
     return set(zip(ids[a].tolist(), ids[b].tolist()))
@@ -283,7 +299,7 @@ def location_table(
     _check_segments(num_segments)
     ids = _node_ids(nodes)
     segments = np.arange(1, num_segments + 1, dtype=np.uint64)
-    member = clbf.location_filter.contains_hashes(_key_hashes(ids, segments, clbf.pid))
+    member = clbf.location_filter.contains_hashes(key_hashes(ids[:, None], segments, clbf.pid))
     return {
         node: {s for s, hit in enumerate(row, 1) if hit}
         for node, row in zip(ids.tolist(), member.tolist())

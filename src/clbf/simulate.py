@@ -380,6 +380,11 @@ class SimulationSetup:
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
             raise ParameterError("need the roadside unit plus at least one vehicle")
+        # node ids and fragments are u16 key fields on the wire
+        if self.n_nodes > 0x10000:
+            raise ParameterError(f"n={self.n_nodes} exceeds the 65536 u16 node ids")
+        if self.num_segments > 0xFFFF:
+            raise ParameterError(f"delta={self.num_segments} exceeds the u16 fragment limit 65535")
         if not 1 <= self.h <= self.n_nodes - 1:
             raise ParameterError(
                 f"h={self.h} outside 1..{self.n_nodes - 1} (one vehicle per hop)"

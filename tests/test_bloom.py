@@ -14,6 +14,7 @@ from clbf.bloom import (
     hash_indices,
     mix64,
 )
+from clbf.protocol import key_hashes
 
 KEY = bytes([2, 0, 2, 0, 2, 0, 3, 0, 8, 0, 5, 0, 0, 0, 0, 0, 0, 0])
 
@@ -190,13 +191,10 @@ def test_array_probe_matches_scalar_contains(data):
             bf.insert(keys[a][b])
 
     # FNV-1a over byte columns, the first field broadcast down, the second across
-    h0 = bloom._fnv(
-        (len(firsts), len(seconds)),
-        [*bloom._u16_field(np.array(firsts, dtype=np.uint64)[:, None]),
-         *bloom._u16_field(np.array(seconds, dtype=np.uint64)),
-         *bloom._u64_field(list(pid.to_bytes(8, "little")))],
-    )
+    a, b = np.array(firsts, dtype=np.uint64)[:, None], np.array(seconds, dtype=np.uint64)
+    h0 = key_hashes(a, b, pid)
     assert h0.tolist() == [[fnv1a64(key) for key in row] for row in keys]
+    assert key_hashes(a, b, np.array([[pid]], dtype=np.uint64)).tolist() == h0.tolist()
 
     expected = [[[bf.contains(key) for key in row] for row in keys] for bf in filters]
     for bf, want in zip(filters, expected):

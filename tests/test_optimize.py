@@ -74,10 +74,11 @@ def test_split_budget_meets_the_edge_tolerance():
 def test_split_budget_infeasible():
     with pytest.raises(InfeasibleError):
         split_budget(m=64, h=10, n_nodes=64, delta=4, eps1=1e-9)
-    with pytest.raises(InfeasibleError):
-        split_budget(m=512, h=10, n_nodes=1, delta=4)
-    with pytest.raises(InfeasibleError):
-        split_budget(m=512, h=10, n_nodes=16, delta=4, eps1=0.0)
+    # malformed input is a plain ValueError, not "infeasible"
+    for kwargs in ({"n_nodes": 1}, {"n_nodes": 16, "eps1": 0.0}):
+        with pytest.raises(ValueError) as exc:
+            split_budget(m=512, h=10, delta=4, **kwargs)
+        assert exc.type is ValueError
 
 
 def test_split_budget_leaves_room_for_the_location_filter():

@@ -149,6 +149,10 @@ def test_cli_analyze_needs_all_parameters(capsys):
         ["optimize", "--m2", "64", "--hops", "0", "--delta", "3"],
         ["optimize", "--budget", "4096", "--hops", "0", "--delta", "15", "--nodes", "11"],
         ["optimize", "--m2", "0", "--hops", "5", "--delta", "3"],
+        ["optimize", "--budget", "-3", "--hops", "5", "--delta", "3", "--nodes", "11"],
+        ["optimize", "--budget", "4096", "--hops", "5", "--delta", "3", "--nodes", "11",
+         "--eps1", "nan"],
+        ["optimize", "--budget", "4096", "--hops", "5", "--delta", "3", "--nodes", "1"],
     ],
 )
 def test_cli_out_of_range_parameter_exits_2(argv, capsys):
@@ -229,6 +233,22 @@ def test_cli_simulate_hops_past_the_hop_counter(tmp_path, capsys):
     rc = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)])
     assert rc == 2
     assert "hop counter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, delta, hops", [(70000, 3, 10), (65537, 3, 10), (6, 65536, 4)])
+def test_cli_simulate_ids_past_the_u16_key_fields(n, delta, hops, tmp_path, capsys):
+    # node ids and fragments are u16 key fields: rejected before a point runs
+    scenario = tmp_path / "wide.ini"
+    scenario.write_text(
+        GOOD.replace("n = 6", f"n = {n}")
+        .replace("delta = 3", f"delta = {delta}")
+        .replace("placement = balanced_prefix", "placement = free")
+        .replace("hops = 4", f"hops = {hops}")
+    )
+    rc = main(["simulate", "--scenario", str(scenario), "--trials", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("scenario error: ") and "u16" in err
 
 
 def test_cli_simulate_sequence_count_past_int64(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from clbf import _batch, bloom
 from clbf.bloom import ParameterError, fnv1a64, mix64, _seed_tag
-from clbf.protocol import FALSE_POSITIVE, MISS, UNIQUE, edge_key, location_key
+from clbf.protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, edge_key, key_hashes, location_key
 from clbf.scenario import PRESETS, load_preset
 from clbf.segments import SegmentDictionary, enumerate_valid_sequences, is_valid_sequence
 from clbf.simulate import (
@@ -30,6 +30,7 @@ from clbf.simulate import (
     run_sweep,
     run_trial,
     sample_occupancy,
+    trial_packet,
     trial_pid,
     trial_rng,
     wilson_interval,
@@ -226,21 +227,23 @@ def test_trial_pid_packs_tag_and_index():
 
 
 def test_batch_key_streams_match_the_reference_keys():
-    prev, curr, node, seg, pid = 5, 2, 7, 3, (11 << 32) | 4
-    pid_bytes = [np.uint64((pid >> (8 * j)) & 0xFF) for j in range(8)]
-    arr = lambda v: np.array([v], dtype=np.uint64)
-    edge = bloom._fnv(
-        (1,),
-        [*bloom._u16_field(arr(prev)), *bloom._u16_field(arr(curr)),
-         *bloom._u64_field(pid_bytes)],
-    )
-    assert int(edge[0]) == fnv1a64(edge_key(prev, curr, pid))
-    loc = bloom._fnv(
-        (1,),
-        [*bloom._u16_field(arr(node)), *bloom._u16_field(arr(seg)),
-         *bloom._u64_field(pid_bytes)],
-    )
-    assert int(loc[0]) == fnv1a64(location_key(node, seg, pid))
+    prev, curr, node, seg = 5, 2, 7, 3
+    pids = [(11 << 32) | 4, 0, 2**64 - 1]
+    arr = lambda *v: np.array(v, dtype=np.uint64)
+    # an int pid
+    for pid in pids:
+        assert int(key_hashes(arr(prev), arr(curr), pid)[0]) == fnv1a64(edge_key(prev, curr, pid))
+        assert int(key_hashes(arr(node), seg, pid)[0]) == fnv1a64(location_key(node, seg, pid))
+    # an array pid, broadcast against the fields: one row per pid
+    edge = key_hashes(arr(prev, curr), arr(curr, prev), arr(*pids)[:, None])
+    assert edge.tolist() == [
+        [fnv1a64(edge_key(prev, curr, pid)), fnv1a64(edge_key(curr, prev, pid))] for pid in pids
+    ]
+    loc = key_hashes(arr(node), arr(seg), arr(*pids)[:, None])
+    assert loc.tolist() == [[fnv1a64(location_key(node, seg, pid))] for pid in pids]
+    for bad in (-1, 2**64):
+        with pytest.raises(ParameterError):
+            key_hashes(arr(prev), arr(curr), bad)
 
 
 def test_batch_slot_indices_match_the_scalar_hash():
@@ -449,6 +452,31 @@ def test_engines_agree_on_drawn_setups(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     labels = _batch.run_point_classifications(setup, 20, base_seed=seed, point_tag=0)
     assert labels == reference_labels(setup, 20, seed, 0)
+
+
+def test_batch_fallback_rebuilds_the_reference_packet(monkeypatch):
+    # a narrow edge filter sends nearly every trial to the fallback, whose
+    # packet must hold exactly the bits the relays embed hop by hop
+    setup = SimulationSetup(
+        n_nodes=12, num_segments=5, road_length_m=500.0, placement=PlacementSpec("free"),
+        h=7, m1=40, k1=2, m2=64, k2=3,
+    )
+    rebuilt = []
+
+    class Recording(Clbf):
+        @classmethod
+        def from_bits(cls, *args):
+            rebuilt.append(args)
+            return Clbf.from_bits(*args)
+
+    monkeypatch.setattr(_batch, "Clbf", Recording)
+    _batch._run(setup, 0, 300, 0, 0)
+    assert len(rebuilt) > 250
+    for m1, k1, m2, k2, seed, pid, hops, edge_bits, location_bits in rebuilt:
+        _, _, pkt = trial_packet(setup, seed, pid)
+        assert (m1, k1, m2, k2, hops) == (setup.m1, setup.k1, setup.m2, setup.k2, setup.h)
+        assert edge_bits == pkt.edge_filter.raw_bits()
+        assert location_bits == pkt.location_filter.raw_bits()
 
 
 def test_batch_arrangement_count_saturates():
