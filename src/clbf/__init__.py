@@ -46,7 +46,6 @@ from .segments import (
     is_valid_sequence,
 )
 from .simulate import (
-    Network,
     NoValidPath,
     PlacementSpec,
     PointResult,
@@ -71,7 +70,6 @@ __all__ = [
     "FpBreakdown",
     "InfeasibleError",
     "ModelParams",
-    "Network",
     "NoValidPath",
     "PRESETS",
     "ParameterError",

@@ -10,9 +10,10 @@ incremented before each block, 64x64->128 multiplies on 32-bit limbs), cut
 into 32-bit halves low half first, and Lemire's bounded draws on those
 halves, in the order the scalar `draw_trial_path` makes them: the `random`
 placement's fragment draws, the sequence rank, then the partial
-Fisher-Yates draws of each fragment block. A draw of bound 1 consumes
+Fisher-Yates draws, block by block from each fragment's pool (`free`
+draws all h from one pool of every vehicle). A draw of bound 1 consumes
 nothing. Unranking and Fisher-Yates run as array operations; what a point
-shares (the network of a fixed placement, the fragment pools, the
+shares (a fixed placement's vehicle fragments, the fragment pools, the
 completion table) is built once per point. A trial goes back through the
 scalar `trial_rng` + `draw_trial_path` only when one of its draws hit a
 Lemire rejection, or when its sequence count reaches 2^32, which numpy
@@ -62,6 +63,7 @@ from .simulate import (
     SimulationSetup,
     check_sequence_count,
     count_feasible_sequences,
+    derive_trial_seed,
     draw_trial_path,
     generate_network,
     trial_pid,
@@ -220,8 +222,8 @@ class _PathLaw:
     there; `start`, where fragment l's Fisher-Yates pool begins in `order`
     (vehicle ids by fragment, ascending); and `pre`, the completion table.
     The `free` placement draws the whole path from one pool of every
-    vehicle. The `random` placement shares no network: its pools are built
-    per trial, one row each.
+    vehicle. The `random` placement draws its vehicles' fragments per
+    trial, so its pools are built per trial, one row each.
     """
 
     def __init__(self, setup: SimulationSetup):
@@ -240,10 +242,10 @@ class _PathLaw:
             cells = (self.width + 1) * (h + 2)
             self.batch = max(1, min(BATCH, _TABLE_CELLS // cells))
         else:
-            network = generate_network(setup.placement, n, self.segdict, rng=None)
-            total = count_feasible_sequences(network.segment_counts(), h)
-            check_sequence_count(total, n, delta, h)
-            self.pools = self._pools(np.array(network.vehicle_segments)[None, :])
+            segs = np.array(generate_network(setup.placement, n, self.segdict, rng=None))
+            counts = np.bincount(segs - 1, minlength=delta)
+            check_sequence_count(count_feasible_sequences(counts.tolist(), h), n, delta, h)
+            self.pools = self._pools(segs[None, :])
 
     def _pools(self, segs: np.ndarray) -> tuple:
         """(caps, start, order, pre) of placements `segs` (rows, vehicles)."""
@@ -535,8 +537,9 @@ def map_point_codes(jobs: Sequence[tuple]) -> Iterator[np.ndarray]:
     iterator is consumed.
     """
     jobs = list(jobs)
-    for _, trials, _, point_tag in jobs:
+    for _, trials, base_seed, point_tag in jobs:
         trial_pid(point_tag, max(trials - 1, 0))  # both fields must fit their u32 halves
+        derive_trial_seed(base_seed, point_tag, 0)  # the base seed must fit a u64
     workers = _cpu_count()
     spans = [_ranges(job[1], workers) for job in jobs]
     if workers < 2 or sum(map(len, spans)) < 2:

@@ -43,6 +43,7 @@ import numpy as np
 __all__ = [
     "BloomFilter",
     "ParameterError",
+    "check_geometry",
     "encode_key",
     "fnv1a64",
     "hash_indices",
@@ -191,6 +192,14 @@ def _probe(bits: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(rows, per_row)
 
 
+def check_geometry(m: int, k: int) -> None:
+    """Refuse a filter geometry outside 1 <= k <= m <= 2^32-1."""
+    if not 1 <= m <= MAX_BITS:
+        raise ParameterError(f"bit count m={m} outside [1, 2^32-1]")
+    if not 1 <= k <= m:
+        raise ParameterError(f"hash count k={k} outside [1, m={m}]")
+
+
 class BloomFilter:
     """Fixed-geometry Bloom filter.
 
@@ -201,10 +210,7 @@ class BloomFilter:
     __slots__ = ("m", "k", "seed", "_bits", "_tag")
 
     def __init__(self, m: int, k: int, seed: int = 0):
-        if not 1 <= m <= MAX_BITS:
-            raise ParameterError(f"bit count m={m} outside [1, 2^32-1]")
-        if not 1 <= k <= m:
-            raise ParameterError(f"hash count k={k} outside [1, m={m}]")
+        check_geometry(m, k)
         if not 0 <= seed <= _MASK64:
             raise ParameterError(f"seed {seed} outside u64 range")
         self.m = m

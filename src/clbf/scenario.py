@@ -80,24 +80,21 @@ class Scenario:
 
 
 def _parse_placement(text: str) -> PlacementSpec:
-    policy, _, arg = text.strip().partition(":")
+    policy, sep, arg = text.strip().partition(":")
     policy = policy.strip()
     if policy == "uniform_per_segment":
         if not arg:
             raise ScenarioError("uniform_per_segment needs a per-fragment count")
         return PlacementSpec("uniform_per_segment", per_segment=_int(arg, "placement"))
-    if policy == "balanced_prefix":
-        return PlacementSpec("balanced_prefix")
-    if policy == "random":
-        return PlacementSpec("random")
-    if policy == "free":
-        return PlacementSpec("free")
     if policy == "explicit":
         if not arg:
             raise ScenarioError("explicit placement needs a fragment list")
         frags = tuple(_int(x, "placement fragment") for x in arg.split(","))
         return PlacementSpec("explicit", segments=frags)
-    raise ScenarioError(f"unknown placement policy {policy!r}")
+    spec = PlacementSpec(policy)  # refuses an unknown policy
+    if sep:
+        raise ScenarioError(f"placement {policy} takes no argument, got {text.strip()!r}")
+    return spec
 
 
 def parse_sweep_spec(text: str) -> tuple[str, tuple[int, ...]]:

@@ -32,14 +32,17 @@ delta and hops. Where the placement fixes that count (every policy but
 `random`) the batch engine refuses the point before any trial; otherwise
 the scalar draw refuses the first trial that reaches it.
 
-Path sampling is uniform over the feasible fragment sequences (those whose
-per-fragment multiplicities the placement can staff), then uniform over the
-vehicle assignments of the chosen sequence. Counting and unranking use the
-suffix table D(l, r) = sum over b of D(l+1, r-b), b up to the fragment's
-population, D(l, 0) = 1. The `free` policy drops the staffing constraint:
+Path sampling, all in `draw_trial_path`, is uniform over the feasible
+fragment sequences (those whose per-fragment multiplicities the placement
+can staff), then uniform over the vehicle assignments of the chosen
+sequence. Counting and unranking use the suffix table D(l, r) = sum over b
+of D(l+1, r-b), b up to the fragment's capacity, D(l, 0) = 1. A placement
+that fixes positions gives each fragment its population as capacity and
+its own vehicles as the pool a block draws from. The `free` policy is the
+same law with capacity h in every fragment and one pool of every vehicle:
 the fragment sequence is uniform over every admissible sequence and the
-relays are drawn from the whole vehicle pool, which is exactly the
-averaging the closed-form error model performs.
+relays are drawn from the whole fleet, which is exactly the averaging the
+closed-form error model performs.
 """
 
 from __future__ import annotations
@@ -52,12 +55,11 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .analytics import ModelParams, fp_probability
-from .bloom import GAMMA, ParameterError, mix64
+from .bloom import GAMMA, ParameterError, check_geometry, mix64
 from .protocol import MAX_HOPS, Clbf, RecoveryOutcome, recover_provenance
 from .segments import SegmentDictionary
 
 __all__ = [
-    "Network",
     "NoValidPath",
     "PlacementSpec",
     "PointResult",
@@ -66,9 +68,7 @@ __all__ = [
     "Z95",
     "derive_trial_seed",
     "draw_trial_path",
-    "generate_free_path",
     "generate_network",
-    "generate_path",
     "run_point",
     "run_sweep",
     "run_trial",
@@ -131,36 +131,17 @@ class PlacementSpec:
             raise ParameterError("explicit placement needs segments or coordinates")
 
 
-@dataclass(frozen=True)
-class Network:
-    """One realized placement. Node 0 is the roadside unit, in fragment 1."""
-
-    num_segments: int
-    vehicle_segments: tuple[int, ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.vehicle_segments) + 1
-
-    def segment_counts(self) -> tuple[int, ...]:
-        counts = [0] * self.num_segments
-        for s in self.vehicle_segments:
-            counts[s - 1] += 1
-        return tuple(counts)
-
-    def segment_members(self, segment: int) -> tuple[int, ...]:
-        return tuple(
-            i + 1 for i, s in enumerate(self.vehicle_segments) if s == segment
-        )
-
-
 def generate_network(
     placement: PlacementSpec,
     n_nodes: int,
     segdict: SegmentDictionary,
     rng: np.random.Generator,
-) -> Network:
-    """Realize a placement; only the `random` policy consumes randomness."""
+) -> tuple[int, ...]:
+    """Realize a placement: the fragment of each vehicle, vehicle v at index v-1.
+
+    Node 0 is the roadside unit, in fragment 1. Only the `random` policy
+    consumes randomness.
+    """
     delta = segdict.count
     vehicles = n_nodes - 1
     if vehicles < 1:
@@ -200,7 +181,7 @@ def generate_network(
         for s in segs:
             if not 1 <= s <= delta:
                 raise ParameterError(f"explicit fragment {s} outside 1..{delta}")
-    return Network(num_segments=delta, vehicle_segments=tuple(segs))
+    return tuple(segs)
 
 
 @lru_cache(maxsize=512)
@@ -266,61 +247,6 @@ def _unrank_blocks(
     return blocks
 
 
-def generate_path(
-    network: Network, h: int, rng: np.random.Generator
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Draw one relay path of h vehicles, listed RSU-outward.
-
-    Returns (nodes, fragments). The fragment sequence is uniform over the
-    feasible admissible sequences; the vehicles of each fragment block are
-    then drawn without replacement, uniformly over ordered selections.
-    """
-    if h < 1:
-        raise ParameterError(f"path length {h} must be >= 1")
-    if h > network.n_nodes - 1:
-        raise NoValidPath(f"{h} hops need {h} vehicles, placement has {network.n_nodes - 1}")
-    counts = network.segment_counts()
-    table = _completion_table(counts, h)
-    total = table[0][h]
-    if total == 0:
-        raise NoValidPath("no admissible fragment sequence is staffable")
-    check_sequence_count(total, network.n_nodes, network.num_segments, h)
-    blocks = _unrank_blocks(counts, h, table, int(rng.integers(total)))
-    path: list[int] = []
-    seq: list[int] = []
-    for idx, b in enumerate(blocks):
-        segment = idx + 1
-        members = network.segment_members(segment)
-        path.extend(_sample_block(members, b, rng))
-        seq.extend([segment] * b)
-    return tuple(path), tuple(seq)
-
-
-def generate_free_path(
-    n_nodes: int, num_segments: int, h: int, rng: np.random.Generator
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Draw a path with no placement constraint, listed RSU-outward.
-
-    The fragment sequence is uniform over all admissible length-h sequences
-    (the set the analytical model averages over) and the h relays are drawn
-    without replacement from the whole vehicle pool.
-    """
-    if h < 1:
-        raise ParameterError(f"path length {h} must be >= 1")
-    if h > n_nodes - 1:
-        raise NoValidPath(f"{h} hops need {h} vehicles, pool has {n_nodes - 1}")
-    # capacity h per fragment removes the staffing limit entirely
-    counts = (h,) * num_segments
-    table = _completion_table(counts, h)
-    check_sequence_count(table[0][h], n_nodes, num_segments, h)
-    blocks = _unrank_blocks(counts, h, table, int(rng.integers(table[0][h])))
-    path = _sample_block(range(1, n_nodes), h, rng)
-    seq: list[int] = []
-    for idx, b in enumerate(blocks):
-        seq.extend([idx + 1] * b)
-    return tuple(path), tuple(seq)
-
-
 def draw_trial_path(
     placement: PlacementSpec,
     n_nodes: int,
@@ -328,11 +254,39 @@ def draw_trial_path(
     h: int,
     rng: np.random.Generator,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One trial's (relays, fragments) draw; both engines route through here."""
+    """Draw one trial's relay path of h vehicles, listed RSU-outward.
+
+    Returns (nodes, fragments). Both engines route through here. The
+    fragment sequence is uniform over the feasible admissible sequences;
+    the relays of each fragment block are then drawn without replacement,
+    uniformly over ordered selections. A `free` placement staffs up to h
+    relays in every fragment and draws all h from the whole vehicle pool.
+    """
+    if h < 1:
+        raise ParameterError(f"path length {h} must be >= 1")
+    if h > n_nodes - 1:
+        raise NoValidPath(f"{h} hops need {h} vehicles, placement has {n_nodes - 1}")
+    delta = segdict.count
     if placement.policy == "free":
-        return generate_free_path(n_nodes, segdict.count, h, rng)
-    network = generate_network(placement, n_nodes, segdict, rng)
-    return generate_path(network, h, rng)
+        members = None
+        counts = (h,) * delta
+    else:
+        members = [[] for _ in range(delta)]
+        for v, s in enumerate(generate_network(placement, n_nodes, segdict, rng), 1):
+            members[s - 1].append(v)
+        counts = tuple(map(len, members))
+    table = _completion_table(counts, h)
+    total = table[0][h]
+    if total == 0:
+        raise NoValidPath("no admissible fragment sequence is staffable")
+    check_sequence_count(total, n_nodes, delta, h)
+    blocks = _unrank_blocks(counts, h, table, int(rng.integers(total)))
+    if members is None:
+        path = _sample_block(range(1, n_nodes), h, rng)
+    else:
+        path = [v for s, b in enumerate(blocks) for v in _sample_block(members[s], b, rng)]
+    seq = [s for s, b in enumerate(blocks, 1) for _ in range(b)]
+    return tuple(path), tuple(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +295,8 @@ def draw_trial_path(
 
 def derive_trial_seed(base_seed: int, point_tag: int, trial_index: int) -> int:
     """Splitmix chain over (base_seed, point_tag, trial_index)."""
+    if not 0 <= base_seed <= _MASK64:
+        raise ParameterError(f"base seed {base_seed} outside u64 range")
     a = mix64((base_seed + (point_tag + 1) * GAMMA) & _MASK64)
     return mix64((a + (trial_index + 1) * GAMMA) & _MASK64)
 
@@ -391,6 +347,12 @@ class SimulationSetup:
             )
         if self.h > MAX_HOPS:
             raise ParameterError(f"h={self.h} exceeds the packet's hop counter ({MAX_HOPS})")
+        # each filter must be one the packet can build
+        for name, m, k in (("edge", self.m1, self.k1), ("location", self.m2, self.k2)):
+            try:
+                check_geometry(m, k)
+            except ParameterError as exc:
+                raise ParameterError(f"{name} filter: {exc}") from None
 
     def segment_dictionary(self) -> SegmentDictionary:
         return SegmentDictionary(self.road_length_m, self.num_segments)

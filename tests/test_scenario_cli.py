@@ -96,6 +96,19 @@ def test_placement_grammar():
         )
 
 
+@pytest.mark.parametrize("placement", ["free:3", "balanced_prefix:7", "random:x", "free:"])
+def test_placement_arguments_are_refused_where_the_policy_takes_none(placement, tmp_path, capsys):
+    text = GOOD.replace("placement = balanced_prefix", f"placement = {placement}")
+    with pytest.raises(ScenarioError, match="takes no argument"):
+        parse_scenario(text)
+    scenario = tmp_path / "arg.ini"
+    scenario.write_text(text)
+    rc = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "takes no argument" in capsys.readouterr().err
+    assert not (tmp_path / "arg.csv").exists()
+
+
 def test_sweep_spec_grammar():
     assert parse_sweep_spec("m2:100,200,300") == ("m2", (100, 200, 300))
     assert parse_sweep_spec(" delta : 2..4 ") == ("delta", (2, 3, 4))
@@ -153,6 +166,9 @@ def test_cli_analyze_needs_all_parameters(capsys):
         ["optimize", "--budget", "4096", "--hops", "5", "--delta", "3", "--nodes", "11",
          "--eps1", "nan"],
         ["optimize", "--budget", "4096", "--hops", "5", "--delta", "3", "--nodes", "1"],
+        ["simulate", "--preset", "width-sweep", "--trials", "64", "--seed=-1"],
+        ["simulate", "--preset", "width-sweep", "--trials", "64", f"--seed={2**65 - 1}"],
+        ["trace", "--preset", "hash-sweep-d8", "--seed=-5"],
     ],
 )
 def test_cli_out_of_range_parameter_exits_2(argv, capsys):
@@ -265,6 +281,22 @@ def test_cli_simulate_sequence_count_past_int64(tmp_path, capsys):
     assert rc == 2
     assert "n=70, delta=40, hops=66" in err
     assert "int64" in err
+
+
+@pytest.mark.parametrize(
+    "k2, sweep, bad",
+    [(5, "m2:3,100", "m=3]"), (3, "k2:2,300", "k=300"), (3, "m2:0,64", "m=0")],
+)
+def test_cli_simulate_sweep_value_the_packet_refuses_exits_2(k2, sweep, bad, tmp_path, capsys):
+    # every point is built before any runs: no trial, no CSV
+    scenario = tmp_path / "geometry.ini"
+    scenario.write_text(
+        GOOD.replace("k2 = 3", f"k2 = {k2}").replace("sweep = k2:1..3", f"sweep = {sweep}")
+    )
+    rc = main(["simulate", "--scenario", str(scenario), "--trials", "64", "--out", str(tmp_path)])
+    assert rc == 2
+    assert bad in capsys.readouterr().err
+    assert not (tmp_path / "geometry.csv").exists()
 
 
 def test_cli_optimize_k2_mode(capsys):

@@ -14,7 +14,6 @@ from clbf.segments import SegmentDictionary, enumerate_valid_sequences, is_valid
 from clbf.simulate import (
     PLACEMENT_POLICIES,
     SWEEPABLE,
-    Network,
     NoValidPath,
     PlacementSpec,
     PointResult,
@@ -23,9 +22,7 @@ from clbf.simulate import (
     count_feasible_sequences,
     derive_trial_seed,
     draw_trial_path,
-    generate_free_path,
     generate_network,
-    generate_path,
     run_point,
     run_sweep,
     run_trial,
@@ -60,12 +57,10 @@ def small_setup(**kw):
 
 
 def test_uniform_per_segment_reserves_a_receiver_slot():
-    net = generate_network(
+    segs = generate_network(
         PlacementSpec("uniform_per_segment", per_segment=2), 8, SEGDICT, trial_rng(0)
     )
-    assert net.segment_counts() == (1, 2, 2, 2)
-    assert net.n_nodes == 8
-    assert net.segment_members(1) == (1,)
+    assert segs == (1, 2, 2, 3, 3, 4, 4)  # vehicle 1 shares fragment 1 with the unit
     with pytest.raises(ParameterError):
         generate_network(
             PlacementSpec("uniform_per_segment", per_segment=2), 9, SEGDICT, trial_rng(0)
@@ -73,8 +68,8 @@ def test_uniform_per_segment_reserves_a_receiver_slot():
 
 
 def test_balanced_prefix_spreads_the_remainder_forward():
-    net = generate_network(PlacementSpec("balanced_prefix"), 7, SEGDICT, trial_rng(0))
-    assert net.segment_counts() == (2, 2, 1, 1)  # 6 vehicles over 4 fragments
+    segs = generate_network(PlacementSpec("balanced_prefix"), 7, SEGDICT, trial_rng(0))
+    assert segs == (1, 1, 2, 2, 3, 4)  # 6 vehicles over 4 fragments
 
 
 def test_random_placement_is_seeded():
@@ -84,16 +79,14 @@ def test_random_placement_is_seeded():
     c = generate_network(spec, 10, SEGDICT, trial_rng(6))
     assert a == b
     assert a != c
-    assert all(1 <= s <= 4 for s in a.vehicle_segments)
+    assert len(a) == 9 and all(1 <= s <= 4 for s in a)
 
 
 def test_explicit_placement_by_fragments_and_coordinates():
     spec = PlacementSpec("explicit", segments=(2, 1, 4))
-    net = generate_network(spec, 4, SEGDICT, trial_rng(0))
-    assert net.vehicle_segments == (2, 1, 4)
+    assert generate_network(spec, 4, SEGDICT, trial_rng(0)) == (2, 1, 4)
     spec = PlacementSpec("explicit", coordinates=(10.0, 990.0, 400.0))
-    net = generate_network(spec, 4, SEGDICT, trial_rng(0))
-    assert net.vehicle_segments == (1, 4, 2)
+    assert generate_network(spec, 4, SEGDICT, trial_rng(0)) == (1, 4, 2)
     with pytest.raises(ParameterError):
         generate_network(PlacementSpec("explicit", segments=(1, 2)), 4, SEGDICT, trial_rng(0))
     with pytest.raises(ParameterError):
@@ -135,56 +128,54 @@ def test_count_feasible_sequences_matches_enumeration(counts, h):
     assert count_feasible_sequences(counts, h) == brute_feasible(counts, h)
 
 
-def test_generate_path_respects_the_placement():
-    net = Network(num_segments=3, vehicle_segments=(1, 1, 2, 2, 3))
+def test_draw_trial_path_respects_the_placement():
+    spec = PlacementSpec("explicit", segments=(1, 1, 2, 2, 3))
+    segdict = SegmentDictionary(900.0, 3)
     for seed in range(40):
-        path, seq = generate_path(net, 4, trial_rng(seed))
+        path, seq = draw_trial_path(spec, 6, segdict, 4, trial_rng(seed))
         assert len(path) == len(seq) == 4
         assert len(set(path)) == 4
         assert is_valid_sequence(seq, 3)
         for node, seg in zip(path, seq):
-            assert net.vehicle_segments[node - 1] == seg
+            assert spec.segments[node - 1] == seg
 
 
-def test_generate_path_infeasible_staffing():
+def test_draw_trial_path_infeasible_staffing():
+    segdict = SegmentDictionary(900.0, 3)
     # nobody in the receiver's fragment: no admissible sequence can start
-    net = Network(num_segments=3, vehicle_segments=(2, 2, 3))
+    spec = PlacementSpec("explicit", segments=(2, 2, 3))
     with pytest.raises(NoValidPath):
-        generate_path(net, 2, trial_rng(0))
-    with pytest.raises(NoValidPath):  # more hops than vehicles
-        generate_path(Network(3, (1, 2)), 3, trial_rng(0))
+        draw_trial_path(spec, 4, segdict, 2, trial_rng(0))
+    # more hops than vehicles, under either law
+    with pytest.raises(NoValidPath):
+        draw_trial_path(PlacementSpec("explicit", segments=(1, 2)), 3, segdict, 3, trial_rng(0))
+    with pytest.raises(NoValidPath):
+        draw_trial_path(PlacementSpec("free"), 4, segdict, 4, trial_rng(0))
+    with pytest.raises(ParameterError):
+        draw_trial_path(PlacementSpec("free"), 4, segdict, 0, trial_rng(0))
 
 
-def test_generate_path_sequence_frequencies_are_uniform():
-    net = Network(num_segments=2, vehicle_segments=(1, 1, 1, 2, 2, 2))
-    # feasible sequences of length 3: 111, 112, 122 (122 needs two in f2)
+@pytest.mark.parametrize(
+    "spec,n",
+    [
+        # 122 needs two vehicles in fragment 2
+        pytest.param(PlacementSpec("explicit", segments=(1, 1, 1, 2, 2, 2)), 7, id="explicit"),
+        pytest.param(PlacementSpec("free"), 8, id="free"),
+    ],
+)
+def test_draw_trial_path_sequence_frequencies_are_uniform(spec, n):
+    # admissible sequences of length 3 over two fragments: 111, 112, 122
+    segdict = SegmentDictionary(1000.0, 2)
     rng = trial_rng(2024)
     seen = {}
     for _ in range(3000):
-        _, seq = generate_path(net, 3, rng)
+        path, seq = draw_trial_path(spec, n, segdict, 3, rng)
+        assert len(set(path)) == 3
+        assert all(1 <= v < n for v in path)
         seen[seq] = seen.get(seq, 0) + 1
     assert set(seen) == {(1, 1, 1), (1, 1, 2), (1, 2, 2)}
     for count in seen.values():
         assert 850 <= count <= 1150  # ~4 sigma around 1000
-
-
-def test_generate_free_path_covers_all_sequences():
-    rng = trial_rng(99)
-    seen = {}
-    for _ in range(3000):
-        path, seq = generate_free_path(8, 2, 3, rng)
-        assert len(set(path)) == 3
-        assert all(1 <= v <= 7 for v in path)
-        assert is_valid_sequence(seq, 2)
-        seen[seq] = seen.get(seq, 0) + 1
-    assert set(seen) == set(map(tuple, ([1, 1, 1], [1, 1, 2], [1, 2, 2])))
-    for count in seen.values():
-        assert 850 <= count <= 1150
-
-
-def test_generate_free_path_needs_enough_vehicles():
-    with pytest.raises(NoValidPath):
-        generate_free_path(4, 3, 4, trial_rng(0))
 
 
 def test_draw_trial_path_dispatch():
@@ -194,8 +185,8 @@ def test_draw_trial_path_dispatch():
     rng = trial_rng(7)
     spec = PlacementSpec("uniform_per_segment", per_segment=2)
     path2, seq2 = draw_trial_path(spec, 8, SEGDICT, 5, rng)
-    net = generate_network(spec, 8, SEGDICT, trial_rng(7))
-    assert all(net.vehicle_segments[n - 1] == s for n, s in zip(path2, seq2))
+    segs = generate_network(spec, 8, SEGDICT, trial_rng(7))
+    assert all(segs[n - 1] == s for n, s in zip(path2, seq2))
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +562,36 @@ def test_setup_validation():
     with pytest.raises(ParameterError):  # the wire format counts hops in a u8
         small_setup(n_nodes=300, h=256)
     assert small_setup(n_nodes=300, h=255).h == 255
+    for m, k in ((4, 8), (0, 1), (2**32, 1), (8, 0)):
+        with pytest.raises(ParameterError):  # the packet's own filters
+            bloom.BloomFilter(m, k)
+        with pytest.raises(ParameterError, match="location filter"):
+            small_setup(m2=m, k2=k)
+        with pytest.raises(ParameterError, match="edge filter"):
+            small_setup(m1=m, k1=k)
+    assert small_setup(m2=2**32 - 1, k2=2**32 - 1).k2 == 2**32 - 1
+
+
+def test_sweep_refuses_a_bad_geometry_before_any_trial(monkeypatch):
+    monkeypatch.setattr(_batch, "_run", None)  # no trial may start
+    monkeypatch.setattr(_batch, "trial_rng", None)
+    with pytest.raises(ParameterError, match=r"k=5 outside \[1, m=3\]"):
+        run_sweep(small_setup(k2=5), "m2", [3, 100], trials=8, base_seed=1)
+    with pytest.raises(ParameterError, match="k=300"):
+        run_sweep(small_setup(), "k2", [2, 300], trials=8, base_seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
+def test_base_seeds_outside_u64_are_refused(seed, monkeypatch):
+    with pytest.raises(ParameterError, match="base seed"):
+        derive_trial_seed(seed, 0, 0)
+    with pytest.raises(ParameterError, match="base seed"):
+        run_trial(small_setup(), seed, 0, 0)
+    monkeypatch.setattr(_batch, "_run", None)  # refused before any trial
+    with pytest.raises(ParameterError, match="base seed"):
+        run_point(small_setup(), 4, seed)
+    monkeypatch.undo()
+    assert run_point(small_setup(), 4, 2**64 - 1).trials == 4
 
 
 def test_sample_occupancy_deterministic_and_bounded():
