@@ -140,16 +140,21 @@ def test_draw_trial_path_respects_the_placement():
             assert spec.segments[node - 1] == seg
 
 
-def test_draw_trial_path_infeasible_staffing():
+def test_generate_path_infeasible_staffing():
+    # the pinned-placement law of draw_trial_path
     segdict = SegmentDictionary(900.0, 3)
     # nobody in the receiver's fragment: no admissible sequence can start
     spec = PlacementSpec("explicit", segments=(2, 2, 3))
     with pytest.raises(NoValidPath):
         draw_trial_path(spec, 4, segdict, 2, trial_rng(0))
-    # more hops than vehicles, under either law
-    with pytest.raises(NoValidPath):
+    with pytest.raises(NoValidPath):  # more hops than vehicles
         draw_trial_path(PlacementSpec("explicit", segments=(1, 2)), 3, segdict, 3, trial_rng(0))
-    with pytest.raises(NoValidPath):
+
+
+def test_generate_free_path_needs_enough_vehicles():
+    # the free-placement law of draw_trial_path
+    segdict = SegmentDictionary(900.0, 3)
+    with pytest.raises(NoValidPath):  # more hops than vehicles
         draw_trial_path(PlacementSpec("free"), 4, segdict, 4, trial_rng(0))
     with pytest.raises(ParameterError):
         draw_trial_path(PlacementSpec("free"), 4, segdict, 0, trial_rng(0))
