@@ -183,30 +183,28 @@ def _completion_prefix(caps: np.ndarray, h: int) -> np.ndarray:
     return pre
 
 
-def _unrank(
-    pre: np.ndarray, caps: np.ndarray, g: np.ndarray, u: np.ndarray, h: int
-) -> np.ndarray:
+def _unrank(pre: np.ndarray, g: np.ndarray, u: np.ndarray, h: int) -> np.ndarray:
     """Block sizes (rows, width) of the u-th feasible sequence, fragment 1 first.
 
     `simulate._unrank_blocks` over a batch, row i reading table g[i]: at
     each fragment the block size is the first b whose cumulative weight
-    D(l+1, rem-1) + ... + D(l+1, rem-b) exceeds u. Every row needs
-    u < D(0, h) < 2^32.
+    D(l+1, rem-1) + ... + D(l+1, rem-b) = P[rem] - P[rem-b] exceeds u, for
+    P = pre[g, l+1]. As P is non-decreasing, rem - b is the last j with
+    P[j] < P[rem] - u, and u < D(l, rem) keeps b within the fragment's cap.
+    Every row needs u < D(0, h) < 2^32.
     """
-    rows, width = len(u), caps.shape[1]
-    b_axis = np.arange(1, min(int(caps.max()), h) + 1)
+    rows, width = len(u), pre.shape[1] - 1
+    at = np.arange(rows)
     blocks = np.zeros((rows, width), dtype=np.int64)
     rem = np.full(rows, h)
     for l in range(width):
         if not rem.any():
             break
-        low = np.maximum(rem[:, None] - b_axis, 0)
-        cum = pre[g, l + 1, rem][:, None] - pre[g[:, None], l + 1, low]
-        fits = b_axis <= np.minimum(caps[g, l], rem)[:, None]
-        skip = ((cum <= u[:, None]) & fits).sum(axis=1)
-        passed = np.take_along_axis(cum, np.maximum(skip - 1, 0)[:, None], axis=1)[:, 0]
-        u = u - np.where(skip > 0, passed, 0)
-        b = np.where(rem > 0, skip + 1, 0)
+        P = pre[g, l + 1]
+        top = P[at, rem]
+        j = (P < (top - u)[:, None]).sum(axis=1) - 1
+        u = u - (top - P[at, j + 1])
+        b = np.where(rem > 0, rem - j, 0)
         blocks[:, l] = b
         rem = rem - b
     if rem.any():
@@ -312,7 +310,7 @@ class _PathLaw:
         h = self.setup.h
         rows = len(half)
         rank, rejected = lemire(half[:, place], total)
-        blocks = _unrank(pre, caps, g, rank, h)
+        blocks = _unrank(pre, g, rank, h)
         frag = np.repeat(np.tile(np.arange(self.width), rows), blocks.ravel()).reshape(rows, h)
         if start is None:  # free: one pool, drawn position by position
             at = np.broadcast_to(np.arange(h), (rows, h))
@@ -427,9 +425,7 @@ def _classify(setup: SimulationSetup, u: _Universe, seeds, pids, paths, seqs) ->
     cur = np.zeros((batch, width + 1), dtype=np.int64)
     cur[:, 1] = reach[:, 0, 0]
     for i in range(1, h):
-        nxt = np.zeros_like(cur)
-        nxt[:, 1:] = np.minimum(reach[:, i, :] * (cur[:, 1:] + cur[:, :-1]), 2)
-        cur = nxt
+        cur[:, 1:] = np.minimum(reach[:, i, :] * (cur[:, 1:] + cur[:, :-1]), 2)
     arrangements = cur.sum(axis=1)
     if not (arrangements[clean] >= 1).all():
         raise AssertionError("location filter lost the true arrangement")
@@ -599,6 +595,7 @@ def occupancy_counts(
     """
     if m2 < 1 or k2 < 1 or h < 1 or trials < 1:
         raise ValueError("m2, k2, h, trials must all be positive")
+    derive_trial_seed(base_seed, 0, 0)  # the base seed must fit a u64
     out = np.empty(trials, dtype=np.int64)
     node_axis = np.arange(h, dtype=np.uint64)[None, :]
     for t0 in range(0, trials, 4096):

@@ -36,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bloom import check_geometry
 from .segments import _walk, count_valid_sequences  # noqa: F401  bench/layers.py wraps _walk
 
 __all__ = [
@@ -80,10 +81,7 @@ class ModelParams:
     delta: int
 
     def __post_init__(self):
-        if self.m2 < 1:
-            raise ValueError(f"m2={self.m2} must be >= 1")
-        if self.k2 < 1:
-            raise ValueError(f"k2={self.k2} must be >= 1")
+        check_geometry(self.m2, self.k2)  # a location filter the packet can build
         if self.h < 1:
             raise ValueError(f"h={self.h} must be >= 1")
         if self.delta < 1:

@@ -30,13 +30,12 @@ the simulation engine both use it; a property test keeps it equal to the
 scalar `contains` key by key. The byte columns of the protocol's keys are
 laid out by one function, `protocol.key_hashes`.
 
-Serialization is little-endian: a 14-byte header (m: u32, k: u16,
-seed: u64) followed by ceil(m / 8) bytes of bits packed LSB-first.
+A filter has no wire image of its own: its ceil(m / 8) bytes of bits,
+packed LSB-first (`raw_bits`, `load_bits`), travel inside the packet image
+that `protocol` describes.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -58,8 +57,6 @@ FNV_PRIME = 0x100000001B3
 GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
-
-_HEADER = struct.Struct("<IHQ")
 
 MAX_BITS = 2**32 - 1
 
@@ -260,7 +257,7 @@ class BloomFilter:
             self._bits[-1] &= (1 << tail) - 1
 
     def raw_bits(self) -> bytes:
-        """The packed bit array without the header (LSB-first)."""
+        """The packed bit array (LSB-first)."""
         return bytes(self._bits)
 
     def load_bits(self, data: bytes) -> None:
@@ -272,27 +269,6 @@ class BloomFilter:
         if tail and data[-1] >> tail:
             raise ParameterError("padding bits beyond m are set")
         self._bits = bytearray(data)
-
-    def to_bytes(self) -> bytes:
-        return _HEADER.pack(self.m, self.k, self.seed) + bytes(self._bits)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "BloomFilter":
-        if len(blob) < _HEADER.size:
-            raise ParameterError("filter image shorter than its 14-byte header")
-        m, k, seed = _HEADER.unpack_from(blob)
-        if m < 1:
-            raise ParameterError("filter image declares m=0")
-        if not 1 <= k <= m:
-            raise ParameterError(f"filter image declares k={k} outside [1, m={m}]")
-        body = blob[_HEADER.size :]
-        if len(body) != (m + 7) // 8:
-            raise ParameterError(
-                f"filter image has {len(body)} body bytes, m={m} needs {(m + 7) // 8}"
-            )
-        out = cls(m, k, seed)
-        out.load_bits(body)
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):

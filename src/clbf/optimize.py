@@ -26,12 +26,7 @@ class InfeasibleError(ValueError):
     """No parameter choice inside the search space meets the constraint."""
 
 
-def optimize_k2(
-    m2: int,
-    h: int,
-    delta: int,
-    k_range: range | None = None,
-) -> tuple[int, float]:
+def optimize_k2(m2: int, h: int, delta: int) -> tuple[int, float]:
     """Hash count minimizing the modeled false-positive probability.
 
     Returns ``(k2, fp)``. Ties resolve to the smaller hash count, so a flat
@@ -40,12 +35,8 @@ def optimize_k2(
     """
     if m2 < 1:
         raise ValueError(f"m2={m2} must be >= 1")
-    if k_range is None:
-        k_range = range(1, min(m2, 64) + 1)
-    if len(k_range) == 0:
-        raise InfeasibleError("empty hash-count search range")
     best_k, best_fp = None, math.inf
-    for k2 in k_range:
+    for k2 in range(1, min(m2, 64) + 1):
         params = ModelParams(m2=m2, k2=k2, h=h, delta=delta)
         fp = fp_probability(params).total
         if fp < best_fp:

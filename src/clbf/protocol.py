@@ -364,10 +364,6 @@ class RecoveryOutcome:
     classification: str
     truth_recovered: Optional[bool] = field(default=None)
 
-    @property
-    def ambiguous(self) -> bool:
-        return self.classification == FALSE_POSITIVE
-
 
 def recover_provenance(
     clbf: Clbf,
@@ -375,8 +371,6 @@ def recover_provenance(
     num_segments: int,
     rsu: int,
     truth: Optional[tuple[Sequence[int], Sequence[int]]] = None,
-    path_cap: int = PATH_CAP,
-    sequence_cap: int = SEQUENCE_CAP,
 ) -> RecoveryOutcome:
     """Full recovery pipeline and its classification.
 
@@ -389,7 +383,8 @@ def recover_provenance(
     Raises ParameterError when the packet's hop count is 0 (nothing was
     embedded) or exceeds the number of relay candidates (no simple chain
     of that length exists over ``nodes``), or when ``num_segments`` is
-    outside 1..65535.
+    outside 1..65535. Raises ResourceCapError when the path search passes
+    `PATH_CAP` or a path's sequence search passes `SEQUENCE_CAP`.
     """
     candidates = [n for n in nodes if n != rsu]
     if clbf.hop_count < 1:
@@ -400,11 +395,11 @@ def recover_provenance(
             "relay candidates among the probed nodes"
         )
     edges = recover_edges(clbf, nodes)
-    paths = recover_paths(edges, candidates, clbf.hop_count, cap=path_cap)
+    paths = recover_paths(edges, candidates, clbf.hop_count)
     table = location_table(clbf, {node for path in paths for node in path}, num_segments)
     arrangements = []
     for path in paths:
-        for seq in recover_locations(clbf, path, num_segments, cap=sequence_cap, table=table):
+        for seq in recover_locations(clbf, path, num_segments, table=table):
             arrangements.append((path, seq))
     truth_recovered = None if truth is None else (tuple(truth[0]), tuple(truth[1])) in arrangements
     missed = truth_recovered is False or not arrangements

@@ -61,13 +61,6 @@ class SegmentDictionary:
         # float division can land exactly on the upper boundary; clamp back
         return min(idx, self.count)
 
-    def boundaries(self) -> list[float]:
-        step = self.segment_length_m
-        return [i * step for i in range(self.count + 1)]
-
-    def __len__(self) -> int:
-        return self.count
-
 
 def is_valid_sequence(sequence: Sequence[int], num_segments: int) -> bool:
     """True iff the sequence could be collected on an inward relay chain.

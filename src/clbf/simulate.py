@@ -404,7 +404,8 @@ class PointResult:
     skipped: int
 
     def __post_init__(self) -> None:
-        assert self.unique + self.false_positive + self.miss + self.skipped == self.trials
+        if self.unique + self.false_positive + self.miss + self.skipped != self.trials:
+            raise AssertionError(f"tallies do not add up to {self.trials} trials: {self}")
 
     @property
     def effective(self) -> int:
@@ -414,16 +415,15 @@ class PointResult:
     def fp_rate(self) -> float:
         return self.false_positive / self.effective if self.effective else 0.0
 
-    def fp_interval(self, z: float = Z95) -> tuple[float, float]:
-        return wilson_interval(self.false_positive, self.effective, z)
+    def fp_interval(self) -> tuple[float, float]:
+        return wilson_interval(self.false_positive, self.effective)
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = Z95
-) -> tuple[float, float]:
-    """Wilson score interval; (0, 1) when there are no trials."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at z = `Z95`; (0, 1) when there are no trials."""
     if trials <= 0:
         return 0.0, 1.0
+    z = Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -27,20 +27,10 @@ def test_optimize_k2_is_the_grid_argmin():
     assert all(curve[k] > fp for k in curve if k < k2)  # ties go to smaller k
 
 
-def test_optimize_k2_restricted_range():
-    k2, _ = optimize_k2(64, 4, 3, k_range=range(7, 12))
-    assert 7 <= k2 < 12
-
-
 def test_optimize_k2_flat_curve_picks_cheapest():
     # delta=1 admits one sequence, the curve is identically zero
     k2, fp = optimize_k2(32, 4, delta=1)
     assert (k2, fp) == (1, 0.0)
-
-
-def test_optimize_k2_empty_range():
-    with pytest.raises(InfeasibleError):
-        optimize_k2(64, 4, 3, k_range=range(5, 5))
 
 
 def test_edge_query_fp_standard_form():

@@ -159,6 +159,8 @@ def test_cli_analyze_needs_all_parameters(capsys):
     [
         ["analyze", "--m2", "0", "--k2", "3", "--hops", "4", "--delta", "3"],
         ["analyze", "--m2", "64", "--k2", "3", "--hops", "4", "--delta", "0"],
+        ["analyze", "--m2", "4", "--k2", "9", "--hops", "3", "--delta", "3"],
+        ["analyze", "--m2", "5000000000", "--k2", "3", "--hops", "3", "--delta", "3"],
         ["optimize", "--m2", "64", "--hops", "0", "--delta", "3"],
         ["optimize", "--budget", "4096", "--hops", "0", "--delta", "15", "--nodes", "11"],
         ["optimize", "--m2", "0", "--hops", "5", "--delta", "3"],

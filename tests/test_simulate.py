@@ -1,6 +1,10 @@
 """Monte Carlo driver: sampling laws, seeding, and engine agreement."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,6 +539,16 @@ def test_point_result_rates():
     assert empty.fp_interval() == (0.0, 1.0)
 
 
+def test_point_result_tally_check_survives_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "from clbf.simulate import PointResult; PointResult(3, 1, 1, 1, 1)"
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode != 0
+    assert "AssertionError: tallies do not add up to 3 trials" in run.stderr
+
+
 def test_wilson_interval_frozen():
     lo, hi = wilson_interval(5, 100)
     assert lo == pytest.approx(0.02154367915436796, rel=1e-12)
@@ -592,11 +606,14 @@ def test_base_seeds_outside_u64_are_refused(seed, monkeypatch):
         derive_trial_seed(seed, 0, 0)
     with pytest.raises(ParameterError, match="base seed"):
         run_trial(small_setup(), seed, 0, 0)
+    with pytest.raises(ParameterError, match="base seed"):
+        sample_occupancy(32, 3, 4, 50, seed)
     monkeypatch.setattr(_batch, "_run", None)  # refused before any trial
     with pytest.raises(ParameterError, match="base seed"):
         run_point(small_setup(), 4, seed)
     monkeypatch.undo()
     assert run_point(small_setup(), 4, 2**64 - 1).trials == 4
+    assert sample_occupancy(32, 3, 4, 50, 2**64 - 1).shape == (50,)
 
 
 def test_sample_occupancy_deterministic_and_bounded():
