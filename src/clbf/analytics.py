@@ -37,6 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bloom import check_geometry
+from .protocol import MAX_HOPS
 from .segments import _walk, count_valid_sequences  # noqa: F401  bench/layers.py wraps _walk
 
 __all__ = [
@@ -84,6 +85,8 @@ class ModelParams:
         check_geometry(self.m2, self.k2)  # a location filter the packet can build
         if self.h < 1:
             raise ValueError(f"h={self.h} must be >= 1")
+        if self.h > MAX_HOPS:
+            raise ValueError(f"h={self.h} exceeds the packet's hop counter ({MAX_HOPS})")
         if self.delta < 1:
             raise ValueError(f"delta={self.delta} must be >= 1")
 
@@ -97,23 +100,43 @@ class ModelParams:
 # occupancy of the location filter
 
 
+@lru_cache(maxsize=64)
+def _occupancy_walk(m2: int) -> list:
+    """Frontier [throws, pmf] of the one occupancy walk kept per filter width."""
+    return [0, np.ones(1)]
+
+
 def occupancy_pmf_vector(m2: int, k2: int, h: int) -> tuple[float, ...]:
     """Pr(alpha lit bits) for alpha = 1..min(m2, k2*h), index alpha-1.
 
     Each of the k2*h throws lands on a lit bit with probability alpha/m2,
     so p_{t+1}(a) = p_t(a)*a/m2 + p_t(a-1)*(m2-a+1)/m2.
+
+    The law depends on m2 and the throw count only, so one walk per m2
+    serves every k2 and h: a call continues from the last call's throws
+    and restarts from zero only when asked for fewer. Sharing is exact.
+    Entry a reads entries <= a only, its factors a/m2 and (m2-a+1)/m2 do
+    not depend on the array length, and every entry past t throws is an
+    exact zero, so zero-padding the frontier changes no bit.
     """
     if m2 < 1 or k2 < 1 or h < 1:
         raise ValueError("m2, k2 and h must all be >= 1")
-    top = min(m2, k2 * h)
+    throws = k2 * h
+    top = min(m2, throws)
+    walk = _occupancy_walk(m2)
+    done, pmf = walk
+    if throws < done:
+        done, pmf = 0, np.ones(1)
+    # walk a copy and publish it whole, so a concurrent call never reads a
+    # frontier that is half a throw along
+    pmf = np.concatenate((pmf, np.zeros(top + 1 - len(pmf))))
     lit = np.arange(top + 1)
     stay = lit[1:] / m2
     grow = (m2 - lit[:-1]) / m2
-    pmf = np.zeros(top + 1)
-    pmf[0] = 1.0
-    for _ in range(k2 * h):
+    for _ in range(throws - done):
         pmf[1:] = pmf[1:] * stay + pmf[:-1] * grow
         pmf[0] = 0.0
+    walk[:] = throws, pmf
     return tuple(pmf[1:].tolist())
 
 
@@ -245,12 +268,11 @@ def critical_pair_histogram_closed(delta: int, h: int) -> tuple[int, ...]:
     if h < 1:
         raise ValueError(f"h={h} must be >= 1")
     out = []
-    for j in critical_pair_range(delta):
-        order = 2 * (j // 2)
+    for order in range(0, 2 * delta - 1, 2):  # J = order and order + 1 share it
         val = even_full_coverage_term(order, delta, h)
         val += sum(even_partial_coverage_term(order, reach, h) for reach in range(1, delta))
-        out.append(val)
-    return tuple(out)
+        out += (val, val)
+    return tuple(out[1 : 2 * delta - 1])
 
 
 # ---------------------------------------------------------------------------

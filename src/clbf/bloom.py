@@ -121,12 +121,13 @@ def hash_indices(key: bytes, m: int, k: int, seed: int) -> list[int]:
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """`mix64` of a fresh array, computed in place."""
-    x ^= x >> _U64(30)
+    """`mix64` of a fresh array, computed in place with one temporary."""
+    t = x >> _U64(30)
+    x ^= t
     x *= _A
-    x ^= x >> _U64(27)
+    x ^= np.right_shift(x, _U64(27), out=t)
     x *= _B
-    x ^= x >> _U64(31)
+    x ^= np.right_shift(x, _U64(31), out=t)
     return x
 
 
@@ -152,7 +153,10 @@ def _slots(base: np.ndarray, m: int, first: int, stop: int) -> np.ndarray:
     m-bit filter, on a last axis; `hash_indices` for first=0, stop=k."""
     levels = np.arange(first + 1, stop + 1, dtype=np.uint64) * _GAMMA  # (L + 1) * GAMMA mod 2^64
     x = _mix(base[..., None] ^ levels)
-    np.remainder(x, _U64(m), out=x)
+    m = _U64(m)
+    q = x // m  # numpy divides by a scalar through libdivide; np.remainder does not
+    q *= m
+    x -= q
     return x.view(np.int64)
 
 

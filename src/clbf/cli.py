@@ -383,7 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:

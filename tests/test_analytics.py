@@ -4,8 +4,12 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clbf import analytics
 from clbf.analytics import (
     BACKENDS,
     ModelParams,
@@ -116,6 +120,62 @@ def test_occupancy_against_exhaustive_throws():
         assert vec[alpha - 1] == pytest.approx(counts[alpha] / m2**throws, rel=1e-12)
 
 
+def walk_from_zero(m2, k2, h):
+    """The occupancy recurrence over all k2*h throws, sharing nothing."""
+    top = min(m2, k2 * h)
+    lit = np.arange(top + 1)
+    stay = lit[1:] / m2
+    grow = (m2 - lit[:-1]) / m2
+    pmf = np.zeros(top + 1)
+    pmf[0] = 1.0
+    for _ in range(k2 * h):
+        pmf[1:] = pmf[1:] * stay + pmf[:-1] * grow
+        pmf[0] = 0.0
+    return tuple(pmf[1:].tolist())
+
+
+WIDTH_SWEEP_M2 = (100, 150, 200, 250, 300, 400, 500)
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        [(200, k2, 15) for k2 in range(1, 65)],
+        [(200, k2, 15) for k2 in range(64, 0, -1)],
+        [(3975, k2, 5) for k2 in range(1, 65)],
+        [(3975, k2, 5) for k2 in range(64, 0, -1)],
+        # the width-sweep's model column, widths interleaved point by point
+        [(m2, k2, 10) for k2 in (5, 6) for m2 in WIDTH_SWEEP_M2],
+        [(64, 3, 4), (64, 3, 4), (64, 2, 4), (64, 3, 4), (64, 1, 1), (64, 40, 4)],
+    ],
+    ids=["m2=200-up", "m2=200-down", "m2=3975-up", "m2=3975-down", "widths", "repeat-and-back"],
+)
+def test_shared_walk_is_bit_identical_to_a_walk_from_zero(calls):
+    analytics._occupancy_walk.cache_clear()
+    for m2, k2, h in calls:
+        assert occupancy_pmf_vector(m2, k2, h) == walk_from_zero(m2, k2, h), (m2, k2, h)
+
+
+def test_shared_walk_starts_over_after_cache_clear():
+    occupancy_pmf_vector(200, 30, 15)
+    assert analytics._occupancy_walk(200)[0] == 450
+    analytics._occupancy_walk.cache_clear()
+    assert analytics._occupancy_walk.cache_info().currsize == 0
+    assert occupancy_pmf_vector(200, 2, 15) == walk_from_zero(200, 2, 15)
+    assert analytics._occupancy_walk(200)[0] == 30  # walked 30 throws, not 450
+    analytics._occupancy_walk.cache_clear()
+    assert occupancy_pmf_vector(200, 31, 15) == walk_from_zero(200, 31, 15)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from((1, 2, 7, 64, 200)), st.integers(1, 12),
+                          st.integers(1, 12)), min_size=1, max_size=8))
+def test_shared_walk_matches_from_zero_on_any_call_sequence(calls):
+    analytics._occupancy_walk.cache_clear()
+    for m2, k2, h in calls:
+        assert occupancy_pmf_vector(m2, k2, h) == walk_from_zero(m2, k2, h)
+
+
 def test_occupancy_trivial_cases():
     assert occupancy_pmf_vector(2, 1, 1) == (pytest.approx(1.0),)
     vec = occupancy_pmf_vector(2, 1, 2)
@@ -188,6 +248,18 @@ def test_fitted_histogram_frozen():
     assert hist[0] == 8  # every road has delta single-swap-tolerant sequences
     assert hist[1] == 15
     assert len(hist) == 14
+
+
+def test_fitted_histogram_equals_a_sum_per_critical_pair_count():
+    # the long form: every J sums its own even order's terms
+    for delta in range(1, 12):
+        for h in range(1, 20):
+            per_j = []
+            for j in critical_pair_range(delta):
+                order = 2 * (j // 2)
+                per_j.append(even_full_coverage_term(order, delta, h) + sum(
+                    even_partial_coverage_term(order, reach, h) for reach in range(1, delta)))
+            assert critical_pair_histogram_closed(delta, h) == tuple(per_j), (delta, h)
 
 
 def test_fitted_term_validation():

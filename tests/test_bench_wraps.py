@@ -36,3 +36,12 @@ def test_traced_run_reaches_the_batch_fallback(monkeypatch):
     assert tracer.calls("batch.run_point_counts") == 1
     assert tracer.calls("protocol.create") == 8
     assert _batch.recover_provenance is protocol.recover_provenance  # restored
+
+
+def test_cold_cache_scan_finds_the_occupancy_walk(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("layers", "tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import workloads
+
+    assert id(analytics._occupancy_walk) in workloads.lru_caches()

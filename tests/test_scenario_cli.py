@@ -164,6 +164,8 @@ def test_cli_analyze_needs_all_parameters(capsys):
         ["optimize", "--m2", "64", "--hops", "0", "--delta", "3"],
         ["optimize", "--budget", "4096", "--hops", "0", "--delta", "15", "--nodes", "11"],
         ["optimize", "--m2", "0", "--hops", "5", "--delta", "3"],
+        ["analyze", "--m2", "200", "--k2", "4", "--hops", "256", "--delta", "3"],
+        ["optimize", "--m2", "200", "--hops", "256", "--delta", "3"],
         ["optimize", "--budget", "-3", "--hops", "5", "--delta", "3", "--nodes", "11"],
         ["optimize", "--budget", "4096", "--hops", "5", "--delta", "3", "--nodes", "11",
          "--eps1", "nan"],
@@ -235,6 +237,15 @@ def test_cli_simulate_missing_file(tmp_path, capsys):
     rc = main(["simulate", "--scenario", str(tmp_path / "absent.ini")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_simulate_scenario_that_is_a_directory(tmp_path, capsys):
+    # a PermissionError takes the same path; it cannot be provoked as root
+    rc = main(["simulate", "--scenario", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert "Traceback" not in err
 
 
 def test_cli_simulate_bad_scenario(tmp_path, capsys):
