@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bloom import GAMMA, _GAMMA, _mix, _probe, _slots, mix64
+from .bloom import GAMMA, _GAMMA, _mix, _probe, _slots, check_geometry, mix64
 from .protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, key_hashes, recover_provenance
 from .segments import count_valid_sequences
 from .simulate import (
@@ -591,10 +591,12 @@ def occupancy_counts(
 
     Keys mimic the location-filter workload: nearly consecutive ids under
     a per-trial seed, so the sampled distribution is the one the deployed
-    filter actually exhibits.
+    filter actually exhibits. The filter must be one the packet can build
+    (`check_geometry`); h and trials must be positive.
     """
-    if m2 < 1 or k2 < 1 or h < 1 or trials < 1:
-        raise ValueError("m2, k2, h, trials must all be positive")
+    check_geometry(m2, k2)
+    if h < 1 or trials < 1:
+        raise ValueError(f"h={h} and trials={trials} must both be positive")
     derive_trial_seed(base_seed, 0, 0)  # the base seed must fit a u64
     out = np.empty(trials, dtype=np.int64)
     node_axis = np.arange(h, dtype=np.uint64)[None, :]

@@ -13,10 +13,16 @@ probability of that event two ways:
   histogram, counted by a transfer DP over admissible sequences.
 
 A "critical pair" of a sequence is a false pair that already yields an
-alternative admissible sequence when it is the only extra recovery. A
-sequence with J of them turns ambiguous when at least one tests positive,
-with probability 1 - miss^J; the histogram mean of that over admissible
-sequences is the conditional ambiguity probability. As hit + miss = 1, it
+alternative admissible sequence when it is the only extra recovery. The
+model counts these single-position confusions only: a sequence with J of
+them is counted ambiguous when at least one tests positive, with
+probability 1 - miss^J, and the histogram mean of that over admissible
+sequences is the modeled conditional ambiguity probability. The receiver
+also reports ambiguity when an alternative sequence differing in several
+positions has all its false pairs positive with no critical pair among
+them, so the model is a lower bound on the receiver's event (its gap is of
+second order in the hit probability). "Exact" describes the oracle's
+histogram, not the event. As hit + miss = 1, the conditional value
 equals the subset-counting sum over a pool of F >= J false pairs
 (`fp_subset_count`, `fp_subset_totals`), which is kept as a tested
 identity. The fitted histogram can overshoot the sequence count, so the
@@ -319,11 +325,14 @@ class FpBreakdown:
 
 
 def fp_probability(params: ModelParams, backend: str = "closed_form") -> FpBreakdown:
-    """Unconditional ambiguity probability, averaged over the occupancy law.
+    """Modeled ambiguity probability, averaged over the occupancy law.
 
     Given alpha lit bits a never-embedded pair tests positive with
     probability hit = (alpha / m2)^k2, and a sequence with J critical pairs
-    turns ambiguous unless all of them miss. Over the |P| admissible
+    is counted ambiguous unless all of them miss. The value counts these
+    single-position confusions only, so it is a lower bound on the
+    receiver's false-positive event (see the module docstring); under
+    either backend only the histogram is exact. Over the |P| admissible
     sequences, f_J of which have J critical pairs:
 
         Pr(ambiguous | alpha) = min(1, (1 / |P|) * sum_J f_J * (1 - (1 - hit)^J))

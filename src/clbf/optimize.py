@@ -83,8 +83,9 @@ def split_budget(
     takes the smallest edge filter that satisfies it (never below
     MIN_EDGE_BITS), leaving the rest of the budget for the location side.
 
-    Malformed input (m < 1, h < 1, n_nodes < 2, eps1 outside (0, 1])
-    raises ValueError; InfeasibleError means no split meets eps1.
+    Malformed input (m < 1, h < 1, n_nodes < 2, h > n_nodes - 1 since
+    each hop needs its own vehicle besides the receiver, eps1 outside
+    (0, 1]) raises ValueError; InfeasibleError means no split meets eps1.
     """
     if m < 1:
         raise ValueError(f"budget m={m} must be >= 1")
@@ -92,6 +93,8 @@ def split_budget(
         raise ValueError(f"h={h} must be >= 1")
     if n_nodes < 2:
         raise ValueError(f"n_nodes={n_nodes}: need at least two nodes for an edge query")
+    if h > n_nodes - 1:
+        raise ValueError(f"h={h} hops need {h} vehicles, n_nodes={n_nodes} has {n_nodes - 1}")
     if not 0.0 < eps1 <= 1.0:  # false for nan
         raise ValueError(f"eps1 {eps1} outside (0, 1]")
     pairs = n_nodes * (n_nodes - 1)

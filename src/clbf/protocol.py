@@ -12,13 +12,17 @@ Recovery runs entirely on the receiver: hash all ordered node pairs as
 arrays and probe them against the edge filter in one pass, chain the
 positives into simple h-node relay paths, probe every (node, fragment)
 pair of the nodes on those paths against the location filter once per
-packet, and walk each path's admissible fragment sequences over that one
+packet, and list each path's admissible fragment sequences over that one
 membership table. Location keys do not depend on path position, so the
-table serves every candidate path. Each surviving (path, sequence)
-combination is one provenance candidate ("arrangement"). Exactly one
-arrangement means unambiguous provenance; several mean a false positive; a
-missing true arrangement can never happen because the filters have no
-false negatives.
+table serves every candidate path. Both searches are level sweeps: each
+level grows every chain by one hop, or every fragment prefix by one
+position. Every tuple made, the one-node chains and the empty prefix
+included, counts against the search's cap (`PATH_CAP`, `SEQUENCE_CAP`,
+read at each call); a search that passes it raises ResourceCapError.
+Each surviving (path, sequence) combination is one provenance candidate
+("arrangement"). Exactly one arrangement means unambiguous provenance;
+several mean a false positive; a missing true arrangement can never
+happen because the filters have no false negatives.
 
 Node paths are listed RSU-outward (first element = the final relay,
 last element = the source), matching the segment-sequence convention.
@@ -37,7 +41,8 @@ the packet seed as (seed, seed + 1).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -110,10 +115,8 @@ class Clbf:
 
     @classmethod
     def create(cls, m1: int, k1: int, m2: int, k2: int, seed: int, pid: int) -> "Clbf":
-        if not 0 <= pid <= _MASK64:
-            raise ParameterError(f"pid {pid} outside u64 range")
-        if not 0 <= seed <= _MASK64:
-            raise ParameterError(f"seed {seed} outside u64 range")
+        _u64(pid, "pid")
+        _u64(seed, "seed")
         return cls(
             pid=pid,
             seed=seed,
@@ -189,9 +192,7 @@ class Clbf:
         return out
 
     def wire_size(self) -> int:
-        return _HEADER.size + len(self.edge_filter.raw_bits()) + len(
-            self.location_filter.raw_bits()
-        )
+        return _HEADER.size + (self.edge_filter.m + 7) // 8 + (self.location_filter.m + 7) // 8
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +237,28 @@ def recover_edges(clbf: Clbf, nodes: Sequence[int]) -> set[tuple[int, int]]:
     return set(zip(ids[a].tolist(), ids[b].tolist()))
 
 
+def _level(tuples: Iterable[tuple], room: int, search: str, cap: int) -> tuple[list[tuple], int]:
+    """The next level of a search and the room its cap leaves after it.
+
+    Each tuple made costs one unit of ``room``. Drawing through `islice`
+    stops at ``room + 1`` tuples, one past the cap: ResourceCapError.
+    """
+    level = list(islice(tuples, room + 1))
+    room -= len(level)
+    if room < 0:
+        raise ResourceCapError(f"{search} exceeded its cap of {cap}")
+    return level, room
+
+
 def recover_paths(
-    edges: Iterable[tuple[int, int]],
-    candidates: Sequence[int],
-    length: int,
-    cap: int = PATH_CAP,
+    edges: Iterable[tuple[int, int]], candidates: Sequence[int], length: int
 ) -> list[tuple[int, ...]]:
     """Simple ``length``-node chains over the recovered edges, RSU-outward.
 
-    A depth-first walk in forwarding direction from every candidate source;
-    each complete chain is reversed so its first element is the final relay.
+    A level sweep in forwarding direction from every candidate source: each
+    level grows every chain by one hop. Each complete chain is reversed so
+    its first element is the final relay. Raises ResourceCapError once the
+    chains made, the one-node starts included, pass `PATH_CAP`.
     """
     if length < 1:
         raise ParameterError(f"path length {length} must be >= 1")
@@ -256,37 +269,14 @@ def recover_paths(
             succ.setdefault(a, []).append(b)
     for nexts in succ.values():
         nexts.sort()
-    out: list[tuple[int, ...]] = []
-    budget = cap
-    chain: list[int] = []
-    on_chain: set[int] = set()
-
-    def extend() -> None:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise ResourceCapError(f"path search exceeded its cap of {cap}")
-        if len(chain) == length:
-            out.append(tuple(reversed(chain)))
-            return
-        for nxt in succ.get(chain[-1], ()):
-            if nxt not in on_chain:
-                chain.append(nxt)
-                on_chain.add(nxt)
-                extend()
-                on_chain.remove(nxt)
-                chain.pop()
-
-    for start in sorted(allowed):
-        chain = [start]
-        on_chain = {start}
-        extend()
-    return sorted(out)
-
-
-def _check_segments(num_segments: int) -> None:
-    if not 1 <= num_segments <= 0xFFFF:
-        raise ParameterError(f"segment count {num_segments} outside 1..65535")
+    cap = PATH_CAP
+    level, room = _level(((start,) for start in sorted(allowed)), cap, "path search", cap)
+    for _ in range(length - 1):
+        level, room = _level(
+            (c + (n,) for c in level for n in succ.get(c[-1], ()) if n not in c),
+            room, "path search", cap,
+        )
+    return sorted(c[::-1] for c in level)
 
 
 def location_table(
@@ -295,8 +285,10 @@ def location_table(
     """Each node's fragments 1..num_segments whose (node, fragment) key tests positive.
 
     One array probe of the location filter over every (node, fragment) cell.
+    A fragment count outside 1..65535 raises ParameterError.
     """
-    _check_segments(num_segments)
+    if not 1 <= num_segments <= 0xFFFF:
+        raise ParameterError(f"segment count {num_segments} outside 1..65535")
     ids = _node_ids(nodes)
     segments = np.arange(1, num_segments + 1, dtype=np.uint64)
     member = clbf.location_filter.contains_hashes(key_hashes(ids[:, None], segments, clbf.pid))
@@ -310,49 +302,37 @@ def recover_locations(
     clbf: Clbf,
     path: Sequence[int],
     num_segments: int,
-    cap: int = SEQUENCE_CAP,
     table: Optional[dict[int, set[int]]] = None,
 ) -> list[tuple[int, ...]]:
     """Admissible fragment sequences supported by the location filter.
 
     ``path`` is RSU-outward; position i's candidate fragments are those
-    whose (node, fragment) pair tests positive. The admissibility rules
-    prune the product walk: position 0 must be fragment 1, and each next
-    fragment repeats or increments the previous one. ``table`` is a
-    `location_table` of this packet covering the path's nodes; without one
-    the path's nodes are probed here. An empty path or a fragment count
-    outside 1..65535 raises ParameterError.
+    whose (node, fragment) pair tests positive. A level sweep grows every
+    admissible prefix by one position: position 0 must be fragment 1, and
+    each next fragment repeats or increments the previous one. ``table``
+    is a `location_table` of this packet over ``num_segments`` fragments,
+    covering the path's nodes; without one the path's nodes are probed
+    here. An empty path, or a fragment count outside 1..65535 with no
+    table, raises ParameterError; ResourceCapError means the prefixes
+    made, the empty one included, passed `SEQUENCE_CAP`.
     """
     if not path:
         raise ParameterError("empty path: a packet crosses at least one hop")
-    _check_segments(num_segments)
     if table is None:
         table = location_table(clbf, path, num_segments)
-    cands = [table[node] for node in path]
-    out: list[tuple[int, ...]] = []
-    budget = cap
-
-    def extend(prefix: list[int]) -> None:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise ResourceCapError(f"sequence search exceeded its cap of {cap}")
-        i = len(prefix)
-        if i == len(path):
-            out.append(tuple(prefix))
-            return
-        options = (1,) if i == 0 else (prefix[-1], prefix[-1] + 1)
-        for s in options:
-            if s <= num_segments and s in cands[i]:
-                prefix.append(s)
-                extend(prefix)
-                prefix.pop()
-
-    extend([])
-    for seq in out:
+    first, *rest = [table[node] for node in path]
+    cap = SEQUENCE_CAP
+    level, room = _level([()], cap, "sequence search", cap)  # the empty prefix
+    level, room = _level([(1,)] if 1 in first else [], room, "sequence search", cap)
+    for allowed in rest:
+        level, room = _level(
+            (p + (s,) for p in level for s in (p[-1], p[-1] + 1) if s <= num_segments and s in allowed),
+            room, "sequence search", cap,
+        )
+    for seq in level:
         if not is_valid_sequence(seq, num_segments):
-            raise AssertionError(f"location walk produced inadmissible sequence {seq}")
-    return out
+            raise AssertionError(f"location sweep produced inadmissible sequence {seq}")
+    return level
 
 
 @dataclass(frozen=True)
@@ -362,7 +342,7 @@ class RecoveryOutcome:
     paths: tuple[tuple[int, ...], ...]
     arrangements: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     classification: str
-    truth_recovered: Optional[bool] = field(default=None)
+    truth_recovered: Optional[bool] = None
 
 
 def recover_provenance(
@@ -397,10 +377,9 @@ def recover_provenance(
     edges = recover_edges(clbf, nodes)
     paths = recover_paths(edges, candidates, clbf.hop_count)
     table = location_table(clbf, {node for path in paths for node in path}, num_segments)
-    arrangements = []
-    for path in paths:
-        for seq in recover_locations(clbf, path, num_segments, table=table):
-            arrangements.append((path, seq))
+    arrangements = [
+        (path, seq) for path in paths for seq in recover_locations(clbf, path, num_segments, table=table)
+    ]
     truth_recovered = None if truth is None else (tuple(truth[0]), tuple(truth[1])) in arrangements
     missed = truth_recovered is False or not arrangements
     classification = MISS if missed else FALSE_POSITIVE if len(arrangements) > 1 else UNIQUE

@@ -71,7 +71,6 @@ _REQUIRED = {
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     setup: SimulationSetup
     trials: int
     base_seed: int
@@ -171,7 +170,6 @@ def parse_scenario(text: str, name: str = "<inline>") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"{name}: {exc}") from None
     return Scenario(
-        name=name,
         setup=setup,
         trials=_int(exp["trials"], "trials"),
         base_seed=_int(exp["base_seed"], "base_seed"),

@@ -80,14 +80,15 @@ def is_valid_sequence(sequence: Sequence[int], num_segments: int) -> bool:
     return 1 <= prev <= num_segments
 
 
-def enumerate_valid_sequences(
-    num_segments: int, length: int, cap: int = ENUMERATION_CAP
-) -> list[tuple[int, ...]]:
-    """All admissible sequences of the given length, lexicographic order."""
+def enumerate_valid_sequences(num_segments: int, length: int) -> list[tuple[int, ...]]:
+    """All admissible sequences of the given length, lexicographic order.
+
+    Raises ResourceCapError when there are more than `ENUMERATION_CAP`.
+    """
     total = count_valid_sequences(num_segments, length)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise ResourceCapError(
-            f"{total} sequences exceed the enumeration cap of {cap}"
+            f"{total} sequences exceed the enumeration cap of {ENUMERATION_CAP}"
         )
     return list(_walk(num_segments, length))
 

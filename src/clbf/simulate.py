@@ -214,18 +214,6 @@ def check_sequence_count(total: int, n_nodes: int, num_segments: int, h: int) ->
         )
 
 
-def _sample_block(pool: Sequence[int], b: int, rng: np.random.Generator) -> list[int]:
-    # partial Fisher-Yates; one integers() draw per selected vehicle
-    work = list(pool)
-    out = []
-    n = len(work)
-    for i in range(b):
-        j = i + int(rng.integers(n - i))
-        work[i], work[j] = work[j], work[i]
-        out.append(work[i])
-    return out
-
-
 def _unrank_blocks(
     counts: tuple[int, ...], h: int, table: tuple[tuple[int, ...], ...], u: int
 ) -> list[int]:
@@ -281,10 +269,19 @@ def draw_trial_path(
         raise NoValidPath("no admissible fragment sequence is staffable")
     check_sequence_count(total, n_nodes, delta, h)
     blocks = _unrank_blocks(counts, h, table, int(rng.integers(total)))
-    if members is None:
-        path = _sample_block(range(1, n_nodes), h, rng)
-    else:
-        path = [v for s, b in enumerate(blocks) for v in _sample_block(members[s], b, rng)]
+    pools = [range(1, n_nodes)] if members is None else members
+    sizes = [h] if members is None else blocks
+    # partial Fisher-Yates in each block; one `integers` call draws every
+    # offset, reading the stream as one scalar call per offset would
+    bounds = [len(pool) - i for pool, b in zip(pools, sizes) for i in range(b)]
+    offsets = iter(rng.integers(bounds).tolist())
+    path = []
+    for pool, b in zip(pools, sizes):
+        work = list(pool)
+        for i in range(b):
+            j = i + next(offsets)
+            work[i], work[j] = work[j], work[i]
+        path += work[:b]
     seq = [s for s, b in enumerate(blocks, 1) for _ in range(b)]
     return tuple(path), tuple(seq)
 
@@ -454,7 +451,6 @@ def run_point(
 class SweepRow:
     """One point of a sweep, with the model value for the same parameters."""
 
-    point_tag: int
     parameter: str
     value: int
     result: PointResult
@@ -492,7 +488,6 @@ def run_sweep(
         unique, fp, miss, skipped = next(counts)
         rows.append(
             SweepRow(
-                point_tag=i,
                 parameter=parameter,
                 value=value,
                 result=PointResult(trials, unique, fp, miss, skipped),

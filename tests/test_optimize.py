@@ -65,7 +65,7 @@ def test_split_budget_infeasible():
     with pytest.raises(InfeasibleError):
         split_budget(m=64, h=10, n_nodes=64, delta=4, eps1=1e-9)
     # malformed input is a plain ValueError, not "infeasible"
-    for kwargs in ({"n_nodes": 1}, {"n_nodes": 16, "eps1": 0.0}):
+    for kwargs in ({"n_nodes": 1}, {"n_nodes": 16, "eps1": 0.0}, {"n_nodes": 10}):
         with pytest.raises(ValueError) as exc:
             split_budget(m=512, h=10, delta=4, **kwargs)
         assert exc.type is ValueError
@@ -73,6 +73,6 @@ def test_split_budget_infeasible():
 
 def test_split_budget_leaves_room_for_the_location_filter():
     # a budget barely above the floor still yields a usable second filter
-    split = split_budget(m=10, h=2, n_nodes=2, delta=2, eps1=1.0)
+    split = split_budget(m=10, h=2, n_nodes=3, delta=2, eps1=1.0)
     assert split.m2 >= 1
     assert split.k2 >= 1

@@ -1,10 +1,12 @@
 """Packet life cycle: key layout, wire image, embedding, recovery."""
 
+import itertools
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clbf import protocol
 from clbf.bloom import ParameterError
 from clbf.protocol import (
     FALSE_POSITIVE,
@@ -27,8 +29,10 @@ def make_packet(m1=256, k1=3, m2=64, k2=3, seed=42, pid=7):
     return Clbf.create(m1, k1, m2, k2, seed, pid)
 
 
-# Scalar oracles: the receiver's searches key by key through
-# `BloomFilter.contains`, as the array probes must reproduce them.
+# Scalar oracles: the receiver's probes key by key through
+# `BloomFilter.contains`, and its searches as depth-first walks that spend
+# one unit of budget per chain or prefix, as the level sweeps must
+# reproduce them.
 
 
 def scalar_edges(pkt, nodes):
@@ -40,13 +44,39 @@ def scalar_edges(pkt, nodes):
     }
 
 
+def scalar_paths(edges, candidates, length, cap):
+    """The chain walk, one unit of `cap` per chain, starts included; None past `cap`."""
+    allowed = set(candidates)
+    succ = {}
+    for a, b in sorted(edges):
+        if a in allowed and b in allowed:
+            succ.setdefault(a, []).append(b)
+    out, budget = [], [cap]
+
+    def extend(chain):
+        budget[0] -= 1
+        if budget[0] < 0:
+            return False
+        if len(chain) == length:
+            out.append(tuple(reversed(chain)))
+            return True
+        return all(extend(chain + [n]) for n in succ.get(chain[-1], ()) if n not in chain)
+
+    return sorted(out) if all(extend([start]) for start in sorted(allowed)) else None
+
+
 def scalar_locations(pkt, path, num_segments, cap):
     """The location walk with one `contains` per (position, fragment); None past `cap`."""
-    cands = [
-        [s for s in range(1, num_segments + 1)
-         if pkt.location_filter.contains(location_key(node, s, pkt.pid))]
+    table = {
+        node: {s for s in range(1, num_segments + 1)
+               if pkt.location_filter.contains(location_key(node, s, pkt.pid))}
         for node in path
-    ]
+    }
+    return walk_locations(table, path, num_segments, cap)
+
+
+def walk_locations(table, path, num_segments, cap):
+    """Admissible sequences over `table`, one unit of `cap` per prefix; None past `cap`."""
     out, budget = [], [cap]
 
     def extend(prefix):
@@ -58,7 +88,9 @@ def scalar_locations(pkt, path, num_segments, cap):
             return True
         options = (1,) if not prefix else (prefix[-1], prefix[-1] + 1)
         return all(
-            extend(prefix + [s]) for s in options if s <= num_segments and s in cands[len(prefix)]
+            extend(prefix + [s])
+            for s in options
+            if s <= num_segments and s in table[path[len(prefix)]]
         )
 
     return out if extend([]) else None
@@ -228,23 +260,25 @@ def test_multi_path_arrangements_match_a_per_path_walk():
     assert len(out.paths) == 6 * 5 * 4 * 3
     expected = tuple(
         (p, s)
-        for p in recover_paths(scalar_edges(pkt, nodes), range(1, 7), 4)
-        for s in scalar_locations(pkt, p, 4, cap=10**6)
+        for p in scalar_paths(scalar_edges(pkt, nodes), range(1, 7), 4, 10**6)
+        for s in scalar_locations(pkt, p, 4, 10**6)
     )
     assert out.arrangements == expected
     assert len({p for p, _ in expected}) > 1
     assert out.classification == FALSE_POSITIVE and out.truth_recovered is True
 
 
-def test_location_walk_spends_its_budget_as_the_per_key_walk():
+def test_location_walk_spends_its_budget_as_the_per_key_walk(monkeypatch):
     pkt = make_packet(m2=16, k2=1)
     path = (5, 4, 3, 2, 1, 7, 8)
     pkt.embed_path(path, (1, 1, 2, 2, 3, 3, 4))
     need = next(c for c in range(1, 10**4) if scalar_locations(pkt, path, 4, c) is not None)
     assert need > 30
-    assert recover_locations(pkt, path, 4, cap=need) == scalar_locations(pkt, path, 4, need)
-    with pytest.raises(ResourceCapError):
-        recover_locations(pkt, path, 4, cap=need - 1)
+    monkeypatch.setattr(protocol, "SEQUENCE_CAP", need)
+    assert recover_locations(pkt, path, 4) == scalar_locations(pkt, path, 4, need)
+    monkeypatch.setattr(protocol, "SEQUENCE_CAP", need - 1)
+    with pytest.raises(ResourceCapError, match=f"cap of {need - 1}"):
+        recover_locations(pkt, path, 4)
 
 
 def test_recover_paths_walks_chains():
@@ -262,11 +296,41 @@ def test_recover_paths_never_revisits_a_node():
     assert recover_paths(edges, [1, 2], 3) == []
 
 
-def test_recover_paths_cap():
+def test_recover_paths_cap(monkeypatch):
     # complete digraph on 9 nodes explodes combinatorially
     edges = {(a, b) for a in range(9) for b in range(9) if a != b}
+    monkeypatch.setattr(protocol, "PATH_CAP", 500)
     with pytest.raises(ResourceCapError):
-        recover_paths(edges, list(range(9)), 8, cap=500)
+        recover_paths(edges, list(range(9)), 8)
+
+
+def test_an_exploding_search_draws_at_most_one_tuple_past_its_cap(monkeypatch):
+    drawn = []  # tuples each level's generator handed to `islice`
+
+    def counting_islice(tuples, stop):
+        drawn.append(0)
+
+        def pulled():
+            for t in tuples:
+                drawn[-1] += 1
+                yield t
+
+        return itertools.islice(pulled(), stop)
+
+    monkeypatch.setattr(protocol, "islice", counting_islice)
+    monkeypatch.setattr(protocol, "PATH_CAP", 500)
+    edges = {(a, b) for a in range(9) for b in range(9) if a != b}
+    with pytest.raises(ResourceCapError, match="path search exceeded its cap of 500"):
+        recover_paths(edges, list(range(9)), 8)
+    # 9 starts and 72 two-node chains fit; the 504 three-node chains do not
+    assert drawn == [9, 72, 500 - 9 - 72 + 1]
+    drawn.clear()
+    monkeypatch.setattr(protocol, "SEQUENCE_CAP", 100)
+    pkt = make_packet()
+    pkt.location_filter.fill()
+    with pytest.raises(ResourceCapError, match="sequence search exceeded its cap of 100"):
+        recover_locations(pkt, tuple(range(1, 13)), num_segments=12)
+    assert max(drawn) <= 100 + 1 and sum(drawn) == 100 + 1
 
 
 def test_recover_locations_prunes_to_admissible():
@@ -286,11 +350,12 @@ def test_recover_locations_saturated_filter_yields_every_sequence():
     assert len(seqs) == count_valid_sequences(5, 4)
 
 
-def test_recover_locations_cap():
+def test_recover_locations_cap(monkeypatch):
     pkt = make_packet()
     pkt.location_filter.fill()
+    monkeypatch.setattr(protocol, "SEQUENCE_CAP", 100)
     with pytest.raises(ResourceCapError):
-        recover_locations(pkt, tuple(range(1, 13)), num_segments=12, cap=100)
+        recover_locations(pkt, tuple(range(1, 13)), num_segments=12)
 
 
 def test_recover_provenance_unique_on_roomy_filters():
@@ -412,3 +477,38 @@ def test_random_embedding_is_never_missed(data):
     out = recover_provenance(received, [0, *relays], delta, rsu=0, truth=(path, tuple(seq)))
     assert out.truth_recovered is True
     assert out.classification != MISS
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_level_sweeps_match_the_depth_first_walks(data):
+    n = data.draw(st.integers(1, 8))
+    pairs = [(a, b) for a in range(n) for b in range(n)]  # self-edges too
+    if data.draw(st.booleans()):  # sparse
+        edges = set(data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    else:  # about half of all pairs: long chains, and searches that pass their cap
+        edges = {pair for pair in pairs if data.draw(st.booleans())}
+    candidates = data.draw(st.lists(st.integers(0, n), max_size=n + 1) | st.just(range(n)))
+    length = data.draw(st.integers(1, n) | st.integers(1, 8))
+    cap = data.draw(st.integers(0, 120) | st.integers(0, 20_000))
+    expected = scalar_paths(edges, candidates, length, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "PATH_CAP", cap)
+        if expected is None:
+            with pytest.raises(ResourceCapError):
+                recover_paths(edges, candidates, length)
+        else:
+            assert recover_paths(edges, candidates, length) == expected
+
+    delta = data.draw(st.integers(1, 5))
+    path = tuple(data.draw(st.permutations(range(8)))[: data.draw(st.integers(1, 8))])
+    fragments = st.sets(st.integers(1, delta))
+    table = {node: data.draw(fragments | st.just(set(range(1, delta + 1)))) for node in path}
+    expected = walk_locations(table, path, delta, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "SEQUENCE_CAP", cap)
+        if expected is None:
+            with pytest.raises(ResourceCapError):
+                recover_locations(make_packet(), path, delta, table=table)
+        else:
+            assert recover_locations(make_packet(), path, delta, table=table) == expected

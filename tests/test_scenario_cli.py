@@ -42,7 +42,6 @@ sweep = k2:1..3
 
 def test_parse_scenario_full():
     scn = parse_scenario(GOOD, name="good")
-    assert scn.name == "good"
     assert scn.setup.n_nodes == 6 and scn.setup.h == 4
     assert scn.setup.placement.policy == "balanced_prefix"
     assert scn.trials == 40 and scn.base_seed == 123
@@ -173,6 +172,7 @@ def test_cli_analyze_needs_all_parameters(capsys):
         ["simulate", "--preset", "width-sweep", "--trials", "64", "--seed=-1"],
         ["simulate", "--preset", "width-sweep", "--trials", "64", f"--seed={2**65 - 1}"],
         ["trace", "--preset", "hash-sweep-d8", "--seed=-5"],
+        ["optimize", "--budget", "4096", "--hops", "12", "--delta", "3", "--nodes", "11"],
     ],
 )
 def test_cli_out_of_range_parameter_exits_2(argv, capsys):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from clbf import segments
 from clbf.segments import (
     ENUMERATION_CAP,
     CoverageError,
@@ -97,10 +98,16 @@ def test_count_saturates_at_power_of_two():
     assert count_valid_sequences(64, 10) == 2**9
 
 
-def test_enumeration_cap_guards_blowup():
+def test_enumeration_cap_guards_blowup(monkeypatch):
     assert ENUMERATION_CAP == 10_000_000
+    monkeypatch.setattr(segments, "ENUMERATION_CAP", 1000)
+    with pytest.raises(ResourceCapError, match="cap of 1000"):
+        enumerate_valid_sequences(40, 40)
+    monkeypatch.setattr(segments, "ENUMERATION_CAP", count_valid_sequences(3, 4))
+    assert len(enumerate_valid_sequences(3, 4)) == count_valid_sequences(3, 4)
+    monkeypatch.setattr(segments, "ENUMERATION_CAP", count_valid_sequences(3, 4) - 1)
     with pytest.raises(ResourceCapError):
-        enumerate_valid_sequences(40, 40, cap=1000)
+        enumerate_valid_sequences(3, 4)
 
 
 def test_degenerate_sizes():

@@ -198,6 +198,26 @@ def test_draw_trial_path_dispatch():
     assert all(segs[n - 1] == s for n, s in zip(path2, seq2))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    bounds=st.lists(
+        st.integers(1, 3) | st.integers(1, 40) | st.integers(2**31 - 5, 2**31 + 5)
+        | st.integers(1, 2**40),
+        min_size=1, max_size=40,
+    ),
+)
+def test_one_array_bound_draw_reads_the_stream_as_scalar_draws(seed, bounds):
+    # `draw_trial_path` draws all of a trial's Fisher-Yates offsets in one
+    # call: bound-1 draws read nothing, bounds near 2^31 reject about half of
+    # their 32-bit words, and bounds past 2^32 take 64-bit words
+    one, each = trial_rng(seed), trial_rng(seed)
+    assert one.integers(bounds).tolist() == [int(each.integers(b)) for b in bounds]
+    # and leaves the stream, its buffered 32-bit half included, where they do
+    assert [int(one.integers(5)), int(one.integers(2**40))] == [
+        int(each.integers(5)), int(each.integers(2**40))]
+
+
 # ---------------------------------------------------------------------------
 # seeding
 
@@ -624,3 +644,8 @@ def test_sample_occupancy_deterministic_and_bounded():
     assert a.min() >= 1 and a.max() <= 12  # at most k2*h slots lit
     with pytest.raises(ValueError):
         sample_occupancy(0, 1, 1, 5)
+    # only filters the packet can build: 1 <= k2 <= m2 <= 2^32 - 1
+    with pytest.raises(ParameterError, match="hash count k=9"):
+        sample_occupancy(4, 9, 3, 5)
+    with pytest.raises(ParameterError, match="bit count"):
+        sample_occupancy(2**33, 1, 1, 1)  # refused before any allocation
