@@ -1,8 +1,9 @@
 """Vectorized trial engine.
 
 Numerically identical to the reference path in `simulate`/`protocol`. A
-point runs in batches of trials, and results never depend on the batch
-size. Each batch passes through two stages.
+point runs in batches of trials, as many as fit the memory budget
+`BATCH_BYTES`, and results never depend on the batch size. Each batch
+passes through two stages.
 
 Sample. The batch sampler replays, over arrays, the stream each trial's
 `trial_rng` generator would produce: numpy's Philox4x64-10 blocks (counter
@@ -57,7 +58,7 @@ import numpy as np
 
 from .bloom import GAMMA, _GAMMA, _mix, _probe, _slots, check_geometry, mix64
 from .protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, key_hashes, recover_provenance
-from .segments import count_valid_sequences
+from .segments import ResourceCapError, count_valid_sequences
 from .simulate import (
     NoValidPath,
     SimulationSetup,
@@ -89,9 +90,12 @@ SKIPPED = "skipped"
 _LABELS = (UNIQUE, FALSE_POSITIVE, MISS, SKIPPED)  # outcome codes 0..3
 
 BATCH = 512
-# the `random` placement builds one completion table per trial; its batches
-# shrink so those tables stay within this many cells
-_TABLE_CELLS = 1 << 20
+# Bytes one batch may hold. A trial row costs both filters' bits (a byte
+# each), a uint64 hash per probed key (every relay pair and at most h *
+# min(delta, h) location cells) and, under the `random` placement, its own
+# int64 completion table. A batch takes BATCH rows or as many as fit; a
+# point whose one row does not fit is refused with `ResourceCapError`.
+BATCH_BYTES = 1 << 26
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -212,6 +216,18 @@ def _unrank(pre: np.ndarray, g: np.ndarray, u: np.ndarray, h: int) -> np.ndarray
     return blocks
 
 
+def _batch_rows(setup: SimulationSetup) -> int:
+    """Trials per batch: BATCH, or as many as fit BATCH_BYTES."""
+    n, h = setup.n_nodes, setup.h
+    width = min(setup.num_segments, h)
+    row = setup.m1 + setup.m2 + 8 * ((n - 1) * (n - 2) + h * width)
+    if setup.placement.policy == "random":
+        row += 8 * (width + 1) * (h + 2)
+    if row > BATCH_BYTES:
+        raise ResourceCapError(f"one trial needs {row} bytes, past BATCH_BYTES = {BATCH_BYTES}")
+    return min(BATCH, BATCH_BYTES // row)
+
+
 class _PathLaw:
     """A point's path draw, with what its trials share built once.
 
@@ -230,16 +246,13 @@ class _PathLaw:
         self.setup = setup
         self.segdict = setup.segment_dictionary()
         self.width = min(delta, h)
-        self.batch = BATCH
+        self.batch = _batch_rows(setup)
         self.pools = None
         if policy == "free":
             check_sequence_count(count_valid_sequences(delta, h), n, delta, h)
             caps = np.full((1, self.width), h)
             self.pools = (caps, None, np.arange(1, n)[None, :], _completion_prefix(caps, h))
-        elif policy == "random":
-            cells = (self.width + 1) * (h + 2)
-            self.batch = max(1, min(BATCH, _TABLE_CELLS // cells))
-        else:
+        elif policy != "random":
             segs = np.array(generate_network(setup.placement, n, self.segdict, rng=None))
             counts = np.bincount(segs - 1, minlength=delta)
             check_sequence_count(count_feasible_sequences(counts.tolist(), h), n, delta, h)
@@ -533,9 +546,10 @@ def map_point_codes(jobs: Sequence[tuple]) -> Iterator[np.ndarray]:
     iterator is consumed.
     """
     jobs = list(jobs)
-    for _, trials, base_seed, point_tag in jobs:
+    for setup, trials, base_seed, point_tag in jobs:
         trial_pid(point_tag, max(trials - 1, 0))  # both fields must fit their u32 halves
         derive_trial_seed(base_seed, point_tag, 0)  # the base seed must fit a u64
+        _batch_rows(setup)  # one trial row must fit a batch
     workers = _cpu_count()
     spans = [_ranges(job[1], workers) for job in jobs]
     if workers < 2 or sum(map(len, spans)) < 2:
@@ -591,8 +605,9 @@ def occupancy_counts(
 
     Keys mimic the location-filter workload: nearly consecutive ids under
     a per-trial seed, so the sampled distribution is the one the deployed
-    filter actually exhibits. The filter must be one the packet can build
-    (`check_geometry`); h and trials must be positive.
+    filter actually exhibits. A row's count is that of its distinct slots,
+    so no m2-sized array is built. The filter must be one the packet can
+    build (`check_geometry`); h and trials must be positive.
     """
     check_geometry(m2, k2)
     if h < 1 or trials < 1:
@@ -605,8 +620,7 @@ def occupancy_counts(
         t_arr = np.arange(t0, t1, dtype=np.uint64)
         tags = _mix(_trial_seeds(base_seed, 0, t_arr) + _GAMMA)
         h0 = key_hashes(node_axis, 1, t_arr[:, None])
-        idx = _slots(h0 ^ tags[:, None], m2, 0, k2)
-        bits = np.zeros((t1 - t0, m2), dtype=bool)
-        bits[np.arange(t1 - t0)[:, None, None], idx] = True
-        out[t0:t1] = bits.sum(axis=1)
+        idx = np.sort(_slots(h0 ^ tags[:, None], m2, 0, k2).reshape(t1 - t0, -1), axis=1)
+        # distinct slots of a sorted row: its first one, then every change
+        out[t0:t1] = 1 + (idx[:, 1:] != idx[:, :-1]).sum(axis=1)
     return out

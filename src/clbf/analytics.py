@@ -30,8 +30,8 @@ conditional value is clamped into [0, 1] and the clamp is flagged.
 
 Counting conventions: C(n, 0) = 1 for every n including negatives,
 C(n, k) = 0 when k < 0, k > n >= 0, or n < 0 with k > 0; empty sums are 0.
-The fitted histogram terms additionally treat their bracketed sums as 1
-when the even order is 0 (the odd-order fallthrough).
+Under them a bracketed sum sum_l C(a, l) * C(b, l) of the fitted histogram
+is C(a + b, a) for b >= 0 and 1 for b < 0.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ __all__ = [
     "count_critical_pairs",
     "critical_pair_histogram",
     "critical_pair_histogram_closed",
-    "critical_pair_range",
-    "even_full_coverage_term",
-    "even_partial_coverage_term",
     "fp_probability",
     "fp_subset_count",
     "fp_subset_totals",
@@ -209,60 +206,27 @@ def critical_pair_histogram(num_segments: int, seq_len: int) -> tuple[int, ...]:
     return tuple(hist[1:])
 
 
-def critical_pair_range(delta: int) -> range:
-    """Admissible J values; empty when a single fragment leaves no slack."""
-    if delta < 1:
-        raise ValueError(f"delta={delta} must be >= 1")
-    return range(1, 2 * delta - 1)
-
-
 # ---------------------------------------------------------------------------
 # critical pairs per sequence: fitted closed form
 
 
-def even_full_coverage_term(j_even: int, delta: int, h: int) -> int:
-    """Fitted count for sequences that reach every fragment (even order).
-
-    Order 0 is the odd-order fallthrough: its bracketed sums are defined
-    as 1.
-    """
-    _check_even_order(j_even)
-    if delta < 1:
-        raise ValueError(f"delta={delta} must be >= 1")
-    half = j_even // 2
-    if j_even == 0:
-        first = 1
-    else:
-        first = sum(binom(half - 1, i) * binom(delta - half - 1, i) for i in range(half))
-    second = sum(binom(half, i) * binom(h - delta - half + 1, i) for i in range(half + 1))
-    return first * second
-
-
-def even_partial_coverage_term(j_even: int, reach: int, h: int) -> int:
-    """Fitted count for sequences whose highest fragment is ``reach``."""
-    _check_even_order(j_even)
-    if reach < 1:
-        raise ValueError(f"reach={reach} must be >= 1")
-    half = j_even // 2
-    if j_even == 0:
-        return 1
-    first = sum(binom(half - 1, i) * binom(reach - half - 1, i) for i in range(half))
-    second = sum(binom(half - 1, i) * binom(h - reach - half + 1, i) for i in range(half))
-    return first * second
-
-
-def _check_even_order(j_even: int) -> None:
-    # orders past what a reach can support are legal: their binomials
-    # vanish (or collapse to the fit's constant tail) on their own
-    if j_even % 2:
-        raise ValueError(f"order {j_even} is odd; only even orders are defined")
-    if j_even < 0:
-        raise ValueError(f"order {j_even} must be >= 0")
+def _paired_sum(a: int, b: int) -> int:
+    """S(a, b) = sum_{l=0..a} C(a, l) * C(b, l), a >= 0: C(a + b, a), or 1 if b < 0."""
+    return math.comb(a + b, a) if b >= 0 else 1
 
 
 @lru_cache(maxsize=64)
 def critical_pair_histogram_closed(delta: int, h: int) -> tuple[int, ...]:
     """Fitted histogram over J = 1..2*delta-2; odd J maps to order 2*(J//2).
+
+    The paper's fit: f(0) = delta and, for i >= 1, one term for sequences
+    reaching every fragment plus one per highest fragment r < delta,
+
+        f(2i) = S(i-1, delta-i-1) * S(i, h-delta-i+1)
+                + sum_{r=1..delta-1} S(i-1, r-i-1) * S(i-1, h-r-i+1),
+
+    where each bracketed sum S (`_paired_sum`) is one binomial by
+    Vandermonde's identity; the tests keep the paper's sums as the oracle.
 
     This is a regression-style fit, not a count: it can disagree with the
     exact oracle (including overshooting the number of admissible
@@ -273,10 +237,13 @@ def critical_pair_histogram_closed(delta: int, h: int) -> tuple[int, ...]:
         raise ValueError(f"delta={delta} must be >= 1")
     if h < 1:
         raise ValueError(f"h={h} must be >= 1")
-    out = []
-    for order in range(0, 2 * delta - 1, 2):  # J = order and order + 1 share it
-        val = even_full_coverage_term(order, delta, h)
-        val += sum(even_partial_coverage_term(order, reach, h) for reach in range(1, delta))
+    out = [delta, delta]
+    for i in range(1, delta):  # J = 2i and 2i + 1 share order 2i
+        val = _paired_sum(i - 1, delta - i - 1) * _paired_sum(i, h - delta - i + 1)
+        val += sum(
+            _paired_sum(i - 1, r - i - 1) * _paired_sum(i - 1, h - r - i + 1)
+            for r in range(1, delta)
+        )
         out += (val, val)
     return tuple(out[1 : 2 * delta - 1])
 

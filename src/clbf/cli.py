@@ -26,7 +26,7 @@ from .analytics import (
     compare_backends,
     fp_probability,
 )
-from .optimize import InfeasibleError, optimize_k2, split_budget
+from .optimize import K2_SCAN_MAX, InfeasibleError, optimize_k2, split_budget
 from .protocol import Clbf, recover_provenance
 from .scenario import (
     PRESETS,
@@ -232,13 +232,20 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"location filter: m2={split.m2} k2={split.k2} "
             f"(model fp {_f(split.location_fp)})"
         )
+        _note_scan_top(split.k2, split.m2)
         return 0
     if args.m2 is None:
         print("optimize needs --budget or --m2", file=sys.stderr)
         return 2
     k2, fp = optimize_k2(args.m2, args.hops, args.delta)
     print(f"k2={k2} (model fp {_f(fp)}) for m2={args.m2} hops={args.hops} delta={args.delta}")
+    _note_scan_top(k2, args.m2)
     return 0
+
+
+def _note_scan_top(k2: int, m2: int) -> None:
+    if k2 == K2_SCAN_MAX < m2:  # the model may fall further past the scan
+        print(f"note: k2={k2} is the top of the scan (K2_SCAN_MAX < m2={m2})", file=sys.stderr)
 
 
 def cmd_figures(args: argparse.Namespace) -> int:

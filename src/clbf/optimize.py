@@ -20,6 +20,9 @@ from .analytics import ModelParams, fp_probability
 __all__ = ["BudgetSplit", "InfeasibleError", "edge_query_fp", "optimize_k2", "split_budget"]
 
 MIN_EDGE_BITS = 8
+# the k2 scan's top: it bounds the per-hop hashing cost, not the model, whose
+# minimum can lie past it (near m2 / h * ln 2)
+K2_SCAN_MAX = 64
 
 
 class InfeasibleError(ValueError):
@@ -29,14 +32,14 @@ class InfeasibleError(ValueError):
 def optimize_k2(m2: int, h: int, delta: int) -> tuple[int, float]:
     """Hash count minimizing the modeled false-positive probability.
 
-    Returns ``(k2, fp)``. Ties resolve to the smaller hash count, so a flat
-    stretch of the curve (including the all-zero curve at delta=1) yields
-    the cheapest filter.
+    Returns ``(k2, fp)`` over k2 = 1..min(m2, K2_SCAN_MAX). Ties resolve
+    to the smaller hash count, so a flat stretch of the curve (including
+    the all-zero curve at delta=1) yields the cheapest filter.
     """
     if m2 < 1:
         raise ValueError(f"m2={m2} must be >= 1")
     best_k, best_fp = None, math.inf
-    for k2 in range(1, min(m2, 64) + 1):
+    for k2 in range(1, min(m2, K2_SCAN_MAX) + 1):
         params = ModelParams(m2=m2, k2=k2, h=h, delta=delta)
         fp = fp_probability(params).total
         if fp < best_fp:

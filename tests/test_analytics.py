@@ -18,9 +18,6 @@ from clbf.analytics import (
     count_critical_pairs,
     critical_pair_histogram,
     critical_pair_histogram_closed,
-    critical_pair_range,
-    even_full_coverage_term,
-    even_partial_coverage_term,
     fp_probability,
     fp_subset_count,
     fp_subset_totals,
@@ -210,7 +207,7 @@ def test_histogram_oracle_frozen():
     assert critical_pair_histogram(2, 3) == (2, 1)
     hist = critical_pair_histogram(3, 4)
     assert sum(hist) == len(enumerate_valid_sequences(3, 4))
-    assert len(hist) == len(critical_pair_range(3))
+    assert len(hist) == 2 * 3 - 2
     # ~5.5e11 sequences, far past anything enumeration can list
     assert sum(critical_pair_histogram(30, 40)) == count_valid_sequences(30, 40)
 
@@ -226,20 +223,49 @@ def test_histogram_oracle_matches_brute_force():
             assert critical_pair_histogram(delta, length) == tuple(hist), (delta, length)
 
 
-def test_critical_pair_range():
-    assert list(critical_pair_range(2)) == [1, 2]
-    assert list(critical_pair_range(8)) == list(range(1, 15))
-
-
 # ---------------------------------------------------------------------------
 # critical pairs, fitted curve
 
 
+def paper_full_term(j_even, delta, h):
+    """The paper's term for sequences that reach every fragment (even order).
+
+    Order 0 is the odd-order fallthrough: its bracketed sums are 1.
+    """
+    half = j_even // 2
+    if j_even == 0:
+        first = 1
+    else:
+        first = sum(binom(half - 1, i) * binom(delta - half - 1, i) for i in range(half))
+    second = sum(binom(half, i) * binom(h - delta - half + 1, i) for i in range(half + 1))
+    return first * second
+
+
+def paper_partial_term(j_even, reach, h):
+    """The paper's term for sequences whose highest fragment is ``reach``."""
+    half = j_even // 2
+    if j_even == 0:
+        return 1
+    first = sum(binom(half - 1, i) * binom(reach - half - 1, i) for i in range(half))
+    second = sum(binom(half - 1, i) * binom(h - reach - half + 1, i) for i in range(half))
+    return first * second
+
+
+def paper_histogram(delta, h):
+    """The long form: every J sums its own even order's terms."""
+    per_j = []
+    for j in range(1, 2 * delta - 1):
+        order = 2 * (j // 2)
+        per_j.append(paper_full_term(order, delta, h) + sum(
+            paper_partial_term(order, reach, h) for reach in range(1, delta)))
+    return tuple(per_j)
+
+
 def test_fitted_terms_frozen():
-    assert even_full_coverage_term(2, delta=4, h=6) == 3
-    assert even_full_coverage_term(2, delta=3, h=6) == 4
-    assert even_full_coverage_term(0, delta=5, h=9) == 1  # empty bracket
-    assert even_partial_coverage_term(0, reach=3, h=9) == 1
+    assert paper_full_term(2, delta=4, h=6) == 3
+    assert paper_full_term(2, delta=3, h=6) == 4
+    assert paper_full_term(0, delta=5, h=9) == 1  # empty bracket
+    assert paper_partial_term(0, reach=3, h=9) == 1
 
 
 def test_fitted_histogram_frozen():
@@ -251,24 +277,11 @@ def test_fitted_histogram_frozen():
 
 
 def test_fitted_histogram_equals_a_sum_per_critical_pair_count():
-    # the long form: every J sums its own even order's terms
-    for delta in range(1, 12):
-        for h in range(1, 20):
-            per_j = []
-            for j in critical_pair_range(delta):
-                order = 2 * (j // 2)
-                per_j.append(even_full_coverage_term(order, delta, h) + sum(
-                    even_partial_coverage_term(order, reach, h) for reach in range(1, delta)))
-            assert critical_pair_histogram_closed(delta, h) == tuple(per_j), (delta, h)
-
-
-def test_fitted_term_validation():
-    with pytest.raises(ValueError):
-        even_full_coverage_term(3, delta=4, h=6)  # odd order
-    with pytest.raises(ValueError):
-        even_partial_coverage_term(2, reach=0, h=6)
-    with pytest.raises(ValueError):
-        even_full_coverage_term(2, delta=0, h=6)
+    # past the grid: h < delta leaves brackets with a negative lower argument
+    # (their sum is 1); long routes over many fragments take the binomial
+    far_out = [(12, 3), (20, 7), (30, 1), (30, 29), (30, 31), (30, 90), (30, 200), (25, 150), (17, 200)]
+    for delta, h in itertools.chain(itertools.product(range(1, 12), range(1, 20)), far_out):
+        assert critical_pair_histogram_closed(delta, h) == paper_histogram(delta, h), (delta, h)
 
 
 def test_backend_comparison_report():
@@ -326,7 +339,7 @@ def test_subset_totals_match_direct_double_sum():
         for j in range(1, pool + 1):
             direct = sum(
                 f * fp_subset_count(j, J, pool)
-                for J, f in zip(critical_pair_range(delta), hist)
+                for J, f in enumerate(hist, start=1)
             )
             assert totals[j - 1] == direct
 

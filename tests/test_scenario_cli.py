@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from clbf import cli
 from clbf.cli import main
+from clbf.optimize import K2_SCAN_MAX
 from clbf.scenario import (
     PRESETS,
     ScenarioError,
@@ -336,6 +338,30 @@ def test_cli_optimize_infeasible(capsys):
                "--nodes", "64", "--eps1", "1e-9"])
     assert rc == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_cli_optimize_notes_a_k2_on_the_top_of_its_scan(capsys):
+    rc = main(["optimize", "--budget", "4096", "--hops", "10", "--delta", "15", "--nodes", "11"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert "location filter: m2=3854 k2=64 " in out and "note" not in out
+    assert err.startswith("note: k2=64 is the top of the scan") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m2", ["200", "1", "8", "64"])
+def test_cli_optimize_says_nothing_below_the_top(m2, capsys):
+    rc = main(["optimize", "--m2", m2, "--hops", "15", "--delta", "16"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_optimize_scan_top_at_the_filter_width_is_no_note(capsys, monkeypatch):
+    # k2 = m2 = K2_SCAN_MAX: the scan covered every hash count the filter has
+    monkeypatch.setattr(cli, "optimize_k2", lambda m2, h, delta: (K2_SCAN_MAX, 0.0))
+    assert main(["optimize", "--m2", str(K2_SCAN_MAX), "--hops", "4", "--delta", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["optimize", "--m2", str(K2_SCAN_MAX + 1), "--hops", "4", "--delta", "3"]) == 0
+    assert capsys.readouterr().err.startswith("note:")
 
 
 def test_cli_trace_replays_one_trial(capsys):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -634,6 +635,38 @@ def test_base_seeds_outside_u64_are_refused(seed, monkeypatch):
     monkeypatch.undo()
     assert run_point(small_setup(), 4, 2**64 - 1).trials == 4
     assert sample_occupancy(32, 3, 4, 50, 2**64 - 1).shape == (50,)
+
+
+def dense_occupancy(m2, k2, h, trials, base_seed):
+    """The lit bits of one dense filter per trial, h location keys each."""
+    counts = []
+    for t in range(trials):
+        f = bloom.BloomFilter(m2, k2, derive_trial_seed(base_seed, 0, t))
+        for node in range(h):
+            f.insert(location_key(node, 1, t))
+        counts.append(f.popcount())
+    return counts
+
+
+@pytest.mark.parametrize(
+    "m2,k2,h,trials,base_seed",
+    [(32, 3, 4, 4100, 8), (200, 8, 15, 40, 1), (1, 1, 3, 5, 0), (7, 7, 9, 30, 2),
+     (4096, 64, 10, 20, 3), (100000, 3, 2, 60, 5)],
+)
+def test_sample_occupancy_equals_a_dense_count(m2, k2, h, trials, base_seed):
+    assert sample_occupancy(m2, k2, h, trials, base_seed).tolist() == dense_occupancy(
+        m2, k2, h, trials, base_seed
+    )
+
+
+def test_sample_occupancy_builds_no_filter_sized_array():
+    tracemalloc.start()
+    try:
+        assert sample_occupancy(2**32 - 1, 1, 1, 1).tolist() == [1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a dense row would be 4 GiB
 
 
 def test_sample_occupancy_deterministic_and_bounded():

@@ -16,6 +16,7 @@ from clbf import _batch
 from clbf.bloom import ParameterError
 from clbf.cli import main
 from clbf.scenario import PRESETS, load_preset
+from clbf.segments import ResourceCapError
 from clbf.simulate import SWEEPABLE, PlacementSpec, SimulationSetup, run_point, run_sweep
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -129,6 +130,41 @@ def test_cli_simulate_exits_2_on_a_worker_error(tmp_path, two_workers, capsys):
     assert rc == 2
     assert "n=70, delta=40, hops=66" in capsys.readouterr().err
     assert len(two_workers) == 2
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_points_run_in_full_batches(preset):
+    scn = load_preset(preset)
+    param, values = scn.sweep
+    for value in values:
+        assert _batch._batch_rows(replace(scn.setup, **{SWEEPABLE[param]: value})) == _batch.BATCH
+
+
+def test_batches_shrink_to_the_memory_budget():
+    free = PlacementSpec("free")
+    half = _batch.BATCH_BYTES // 2
+    assert _batch._batch_rows(setup_of(free, 6, 3, 4, m1=half)) == 1
+    assert _batch._batch_rows(setup_of(free, 6, 3, 4, m1=_batch.BATCH_BYTES // 100)) == 99
+    # the random placement's per-trial completion tables count too
+    random_rows = _batch._batch_rows(setup_of(PlacementSpec("random"), 256, 200, 255))
+    assert random_rows < _batch._batch_rows(setup_of(free, 256, 200, 255)) < _batch.BATCH
+    with pytest.raises(ResourceCapError, match="BATCH_BYTES"):
+        _batch._batch_rows(setup_of(free, 6, 3, 4, m1=_batch.BATCH_BYTES))
+
+
+def test_cli_simulate_exits_4_on_a_filter_no_batch_holds(tmp_path, two_workers, capsys, monkeypatch):
+    monkeypatch.setattr(_batch, "_run", None)  # refused before any range is queued
+    scenario = tmp_path / "huge.ini"
+    scenario.write_text(
+        "[network]\nn = 6\ndelta = 3\nroad_length_m = 300.0\nplacement = free\n\n"
+        f"[filters]\nm1 = {2**32 - 1}\nk1 = 3\nm2 = 64\nk2 = 2\n\n"
+        "[experiment]\ntrials = 600\nbase_seed = 1\n"
+    )
+    rc = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "BATCH_BYTES" in err and "Traceback" not in err
+    assert two_workers == []
 
 
 def test_pool_is_rebuilt_after_a_worker_dies(two_workers):
