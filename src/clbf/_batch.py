@@ -216,6 +216,13 @@ def _unrank(pre: np.ndarray, g: np.ndarray, u: np.ndarray, h: int) -> np.ndarray
     return blocks
 
 
+def _rows_within(row: int, most: int) -> int:
+    """Rows of `row` bytes each that a block holds: `most`, or as many as fit BATCH_BYTES."""
+    if row > BATCH_BYTES:
+        raise ResourceCapError(f"one trial needs {row} bytes, past BATCH_BYTES = {BATCH_BYTES}")
+    return min(most, BATCH_BYTES // row)
+
+
 def _batch_rows(setup: SimulationSetup) -> int:
     """Trials per batch: BATCH, or as many as fit BATCH_BYTES."""
     n, h = setup.n_nodes, setup.h
@@ -223,9 +230,7 @@ def _batch_rows(setup: SimulationSetup) -> int:
     row = setup.m1 + setup.m2 + 8 * ((n - 1) * (n - 2) + h * width)
     if setup.placement.policy == "random":
         row += 8 * (width + 1) * (h + 2)
-    if row > BATCH_BYTES:
-        raise ResourceCapError(f"one trial needs {row} bytes, past BATCH_BYTES = {BATCH_BYTES}")
-    return min(BATCH, BATCH_BYTES // row)
+    return _rows_within(row, BATCH)
 
 
 class _PathLaw:
@@ -452,7 +457,13 @@ def _classify(setup: SimulationSetup, u: _Universe, seeds, pids, paths, seqs) ->
             np.packbits(bits2[b], bitorder="little").tobytes(),
         )
         truth = (tuple(map(int, paths[b])), tuple(map(int, seqs[b])))
-        label = recover_provenance(pkt, list(range(n)), delta, rsu=0, truth=truth).classification
+        try:
+            label = recover_provenance(pkt, list(range(n)), delta, rsu=0, truth=truth).classification
+        except ResourceCapError as exc:
+            tag, trial = divmod(int(pids[b]), 1 << 32)  # the pid is `trial_pid(tag, trial)`
+            raise ResourceCapError(
+                f"point {tag} trial {trial} (replay: clbf trace --point {tag} --trial {trial}): {exc}"
+            ) from exc
         codes[b] = _LABELS.index(label)
     return codes
 
@@ -607,16 +618,20 @@ def occupancy_counts(
     a per-trial seed, so the sampled distribution is the one the deployed
     filter actually exhibits. A row's count is that of its distinct slots,
     so no m2-sized array is built. The filter must be one the packet can
-    build (`check_geometry`); h and trials must be positive.
+    build (`check_geometry`); h and trials must be positive. Rows run in
+    blocks of at most 4 096 whose h * k2 uint64 slots fit BATCH_BYTES; a
+    row that does not fit alone raises ResourceCapError before any array
+    is built.
     """
     check_geometry(m2, k2)
     if h < 1 or trials < 1:
         raise ValueError(f"h={h} and trials={trials} must both be positive")
     derive_trial_seed(base_seed, 0, 0)  # the base seed must fit a u64
+    block = _rows_within(8 * h * k2, 4096)
     out = np.empty(trials, dtype=np.int64)
     node_axis = np.arange(h, dtype=np.uint64)[None, :]
-    for t0 in range(0, trials, 4096):
-        t1 = min(t0 + 4096, trials)
+    for t0 in range(0, trials, block):
+        t1 = min(t0 + block, trials)
         t_arr = np.arange(t0, t1, dtype=np.uint64)
         tags = _mix(_trial_seeds(base_seed, 0, t_arr) + _GAMMA)
         h0 = key_hashes(node_axis, 1, t_arr[:, None])

@@ -270,6 +270,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from . import _batch
+
     scn = _load(args)
     setup = scn.setup
     # a scenario without a sweep is one point, the one `simulate` runs as point 0
@@ -280,6 +282,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if scn.sweep is not None:
         param, values = scn.sweep
         setup = replace(setup, **{SWEEPABLE[param]: values[args.point]})
+    _batch._batch_rows(setup)  # refuse, as `simulate` does, a trial no batch holds
     base_seed = args.seed if args.seed is not None else scn.base_seed
     if args.fixed_seed:
         seed = scn.filter_seed
@@ -306,6 +309,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
           f"edge fill {pkt.edge_filter.popcount()}/{setup.m1}, "
           f"location fill {pkt.location_filter.popcount()}/{setup.m2}")
     print(f"packet: {blob.hex()}")
+    # the distinct paths that carry at least one arrangement
     print(f"recovered paths: {len(outcome.paths)}, "
           f"arrangements: {len(outcome.arrangements)}")
     for p, s in outcome.arrangements:

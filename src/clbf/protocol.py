@@ -8,21 +8,28 @@ location; the roadside unit receiving the final hop embeds nothing. After
 h hops the packet therefore holds h location pairs and h-1 edges, and its
 hop counter reads h.
 
-Recovery runs entirely on the receiver: hash all ordered node pairs as
-arrays and probe them against the edge filter in one pass, chain the
-positives into simple h-node relay paths, probe every (node, fragment)
-pair of the nodes on those paths against the location filter once per
-packet, and list each path's admissible fragment sequences over that one
-membership table. Location keys do not depend on path position, so the
-table serves every candidate path. Both searches are level sweeps: each
-level grows every chain by one hop, or every fragment prefix by one
-position. Every tuple made, the one-node chains and the empty prefix
-included, counts against the search's cap (`PATH_CAP`, `SEQUENCE_CAP`,
-read at each call); a search that passes it raises ResourceCapError.
-Each surviving (path, sequence) combination is one provenance candidate
-("arrangement"). Exactly one arrangement means unambiguous provenance;
-several mean a false positive; a missing true arrangement can never
-happen because the filters have no false negatives.
+Recovery runs entirely on the receiver, in one joint search
+(`recover_provenance`): hash every ordered relay pair and every (relay,
+fragment) cell as arrays in one call, probe each filter once, then run
+one level sweep, RSU-outward, over pairs (relay chain, fragment prefix).
+Each level extends every pair by one predecessor whose edge into the
+chain and whose location cell are both positive, so a chain that carries
+no fragment sequence dies at the first position it cannot fill. Every
+pair made, the one-node pairs included, counts against `PATH_CAP` (read
+at each call); a search that passes it raises ResourceCapError. Each
+surviving pair is one provenance candidate ("arrangement"). Exactly one
+arrangement means unambiguous provenance; several mean a false positive;
+a missing true arrangement can never happen because the filters have no
+false negatives.
+
+The two-stage form of the same search stays public: `recover_edges`
+probes the edge filter, `recover_paths` lists every simple chain over the
+positive edges, `location_table` probes (node, fragment) cells and
+`recover_locations` lists one path's admissible fragment sequences. Both
+searches are level sweeps whose tuples count against `PATH_CAP` and
+`SEQUENCE_CAP` respectively. Composed, they give `recover_provenance`'s
+arrangements exactly, but only after listing every chain the edge filter
+admits, most of which carry no fragment sequence on a narrow edge filter.
 
 Node paths are listed RSU-outward (first element = the final relay,
 last element = the source), matching the segment-sequence convention.
@@ -337,7 +344,13 @@ def recover_locations(
 
 @dataclass(frozen=True)
 class RecoveryOutcome:
-    """Everything the receiver can say about one packet's provenance."""
+    """Everything the receiver can say about one packet's provenance.
+
+    ``arrangements`` lists every (path, fragment sequence) pair that both
+    filters admit, in lexicographic order; ``paths`` lists the distinct
+    relay paths among them, sorted. A chain that the edge filter admits
+    but that carries no fragment sequence is not a path here.
+    """
 
     paths: tuple[tuple[int, ...], ...]
     arrangements: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -360,11 +373,22 @@ def recover_provenance(
     e.g. in simulation; without it a miss is only detectable as an empty
     arrangement set.
 
+    One `key_hashes` call covers every ordered relay pair and every cell
+    (relay, 1..min(num_segments, hop count)); each filter is probed once.
+    A level sweep, RSU-outward, then grows pairs (chain, fragment prefix):
+    level 0 holds the relays whose (relay, 1) cell is positive, and each
+    level extends a pair by a predecessor p not yet on the chain whose
+    edge p -> chain[-1] is positive, with a next fragment s in
+    {q[-1], q[-1] + 1}, s <= num_segments, whose (p, s) cell is positive.
+    A pair with no extension drops out. It gives exactly the arrangements
+    of `recover_paths` followed by `recover_locations` on every path.
+
     Raises ParameterError when the packet's hop count is 0 (nothing was
     embedded) or exceeds the number of relay candidates (no simple chain
-    of that length exists over ``nodes``), or when ``num_segments`` is
-    outside 1..65535. Raises ResourceCapError when the path search passes
-    `PATH_CAP` or a path's sequence search passes `SEQUENCE_CAP`.
+    of that length exists over ``nodes``), when an id in ``nodes`` is
+    outside the u16 range, or when ``num_segments`` is outside 1..65535.
+    Raises ResourceCapError once the pairs made, level 0 included, pass
+    `PATH_CAP`.
     """
     candidates = [n for n in nodes if n != rsu]
     if clbf.hop_count < 1:
@@ -374,13 +398,45 @@ def recover_provenance(
             f"packet hop_count {clbf.hop_count} exceeds the {len(candidates)} "
             "relay candidates among the probed nodes"
         )
-    edges = recover_edges(clbf, nodes)
-    paths = recover_paths(edges, candidates, clbf.hop_count)
-    table = location_table(clbf, {node for path in paths for node in path}, num_segments)
-    arrangements = [
-        (path, seq) for path in paths for seq in recover_locations(clbf, path, num_segments, table=table)
-    ]
+    _node_ids(nodes)  # every id range-checked, the RSU's included
+    if not 1 <= num_segments <= 0xFFFF:
+        raise ParameterError(f"segment count {num_segments} outside 1..65535")
+    relays = _node_ids(candidates)
+    r = len(relays)
+    # edge and location keys share one layout: columns 0..r-1 pair each
+    # relay with a relay, the rest with a fragment
+    fragments = np.arange(1, min(num_segments, clbf.hop_count) + 1, dtype=np.uint64)
+    keys = key_hashes(relays[:, None], np.concatenate([relays, fragments]), clbf.pid)
+    edge = clbf.edge_filter.contains_hashes(keys[:, :r])
+    np.fill_diagonal(edge, False)
+    # pred[b]: the relays a whose edge a -> b tests positive, ascending;
+    # cells[i]: the fragments whose (relay i, fragment) cell tests positive
+    pred: list[list[int]] = [[] for _ in range(r)]
+    for b, a in zip(*(axis.tolist() for axis in np.nonzero(edge.T))):
+        pred[b].append(a)
+    located = clbf.location_filter.contains_hashes(keys[:, r:])
+    cells: list[set[int]] = [set() for _ in range(r)]
+    for i, s in zip(*(axis.tolist() for axis in np.nonzero(located))):
+        cells[i].add(s + 1)
+
+    cap = PATH_CAP
+    level, room = _level((((i,), (1,)) for i in range(r) if 1 in cells[i]), cap, "path search", cap)
+    for _ in range(clbf.hop_count - 1):
+        level, room = _level(
+            (
+                (c + (p,), q + (s,))
+                for c, q in level
+                for p in pred[c[-1]]
+                if p not in c
+                for s in (q[-1], q[-1] + 1)
+                if s in cells[p]
+            ),
+            room, "path search", cap,
+        )
+    ids = relays.tolist()
+    arrangements = sorted((tuple(ids[i] for i in c), q) for c, q in level)
+    paths = tuple(dict.fromkeys(p for p, _ in arrangements))
     truth_recovered = None if truth is None else (tuple(truth[0]), tuple(truth[1])) in arrangements
     missed = truth_recovered is False or not arrangements
     classification = MISS if missed else FALSE_POSITIVE if len(arrangements) > 1 else UNIQUE
-    return RecoveryOutcome(tuple(paths), tuple(arrangements), classification, truth_recovered)
+    return RecoveryOutcome(paths, tuple(arrangements), classification, truth_recovered)

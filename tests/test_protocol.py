@@ -65,6 +65,24 @@ def scalar_paths(edges, candidates, length, cap):
     return sorted(out) if all(extend([start]) for start in sorted(allowed)) else None
 
 
+def two_stage(pkt, nodes, num_segments, rsu, truth=None):
+    """(arrangements, classification, truth_recovered) of the two-stage search.
+
+    Every chain the edge filter admits first, then each chain's fragment
+    sequences over one location table: the public searches, composed.
+    """
+    candidates = [n for n in nodes if n != rsu]
+    paths = recover_paths(recover_edges(pkt, nodes), candidates, pkt.hop_count)
+    table = location_table(pkt, {node for path in paths for node in path}, num_segments)
+    arrangements = tuple(
+        (path, seq) for path in paths for seq in recover_locations(pkt, path, num_segments, table=table)
+    )
+    recovered = None if truth is None else (tuple(truth[0]), tuple(truth[1])) in arrangements
+    missed = recovered is False or not arrangements
+    label = MISS if missed else FALSE_POSITIVE if len(arrangements) > 1 else UNIQUE
+    return arrangements, label, recovered
+
+
 def scalar_locations(pkt, path, num_segments, cap):
     """The location walk with one `contains` per (position, fragment); None past `cap`."""
     table = {
@@ -257,13 +275,11 @@ def test_multi_path_arrangements_match_a_per_path_walk():
     pkt.edge_filter.fill()  # every chain over the relays is a candidate path
     nodes = range(7)
     out = recover_provenance(pkt, nodes, num_segments=4, rsu=0, truth=(path, seq))
-    assert len(out.paths) == 6 * 5 * 4 * 3
-    expected = tuple(
-        (p, s)
-        for p in scalar_paths(scalar_edges(pkt, nodes), range(1, 7), 4, 10**6)
-        for s in scalar_locations(pkt, p, 4, 10**6)
-    )
+    chains = scalar_paths(scalar_edges(pkt, nodes), range(1, 7), 4, 10**6)
+    assert len(chains) == 6 * 5 * 4 * 3
+    expected = tuple((p, s) for p in chains for s in scalar_locations(pkt, p, 4, 10**6))
     assert out.arrangements == expected
+    assert out.paths == tuple(dict.fromkeys(p for p, _ in expected))
     assert len({p for p, _ in expected}) > 1
     assert out.classification == FALSE_POSITIVE and out.truth_recovered is True
 
@@ -279,6 +295,35 @@ def test_location_walk_spends_its_budget_as_the_per_key_walk(monkeypatch):
     monkeypatch.setattr(protocol, "SEQUENCE_CAP", need - 1)
     with pytest.raises(ResourceCapError, match=f"cap of {need - 1}"):
         recover_locations(pkt, path, 4)
+
+
+def test_joint_sweep_charges_every_pair_it_makes(monkeypatch):
+    pkt = make_packet()
+    pkt.embed_path((1, 2, 3, 4), (1, 1, 1, 1))
+    pkt.edge_filter.fill()
+    pkt.location_filter.fill()
+    # pairs (chain, prefix) per level: 6 * 1, 30 * 2, 120 * 4, 360 * 8
+    need = 6 + 60 + 480 + 2880
+    monkeypatch.setattr(protocol, "PATH_CAP", need)
+    out = recover_provenance(pkt, range(7), num_segments=4, rsu=0)
+    assert len(out.arrangements) == 2880 and len(out.paths) == 360
+    assert out.arrangements == two_stage(pkt, range(7), 4, rsu=0)[0]
+    monkeypatch.setattr(protocol, "PATH_CAP", need - 1)
+    with pytest.raises(ResourceCapError, match=f"path search exceeded its cap of {need - 1}"):
+        recover_provenance(pkt, range(7), num_segments=4, rsu=0)
+
+
+def test_joint_sweep_finishes_where_the_chain_search_passes_its_cap(monkeypatch):
+    pkt = make_packet(m2=4096, k2=8)
+    path, seq = (3, 1, 2, 6, 5, 4, 8, 7), tuple(range(1, 9))  # one fragment per relay
+    pkt.embed_path(path, seq)
+    pkt.edge_filter.fill()  # every simple chain of 8 over 9 relays: 623 529 made
+    monkeypatch.setattr(protocol, "PATH_CAP", 1000)
+    with pytest.raises(ResourceCapError):
+        two_stage(pkt, range(10), 8, rsu=0)
+    out = recover_provenance(pkt, range(10), num_segments=8, rsu=0, truth=(path, seq))
+    assert out.arrangements == ((path, seq),) and out.paths == (path,)
+    assert out.classification == UNIQUE
 
 
 def test_recover_paths_walks_chains():
@@ -452,6 +497,16 @@ def test_packet_images_parse_or_raise_parameter_error(data):
     except ParameterError:
         return
     assert pkt.to_bytes() == blob
+    # whatever a parsed image holds, recovery ends in an outcome or a documented error
+    nodes = range(data.draw(st.integers(0, 7)))
+    num_segments = data.draw(st.integers(0, 7) | st.sampled_from([0xFFFF, 0x10000]))
+    rsu = data.draw(st.integers(-1, 7))
+    try:
+        out = recover_provenance(pkt, nodes, num_segments, rsu=rsu)
+    except (ParameterError, ResourceCapError):
+        return
+    assert out.classification in (UNIQUE, FALSE_POSITIVE, MISS)
+    assert out.paths == tuple(dict.fromkeys(p for p, _ in out.arrangements))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -512,3 +567,34 @@ def test_level_sweeps_match_the_depth_first_walks(data):
                 recover_locations(make_packet(), path, delta, table=table)
         else:
             assert recover_locations(make_packet(), path, delta, table=table) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_joint_sweep_equals_the_two_stage_search(data):
+    n = data.draw(st.integers(2, 8))
+    relays = data.draw(st.lists(st.integers(1, 300), min_size=n - 1, max_size=n - 1, unique=True))
+    h = data.draw(st.integers(1, min(7, n - 1)))
+    delta = data.draw(st.integers(1, 6))
+    path = tuple(data.draw(st.permutations(relays))[:h])
+    seq = [1]
+    for _ in range(h - 1):
+        seq.append(min(delta, seq[-1] + data.draw(st.integers(0, 1))))
+    m1, m2 = data.draw(st.integers(16, 128)), data.draw(st.integers(1, 256))
+    pkt = Clbf.create(
+        m1, data.draw(st.integers(1, 3)), m2, data.draw(st.integers(1, min(m2, 4))),
+        data.draw(U64), data.draw(U64),
+    )
+    pkt.embed_path(path, seq)
+    fill = data.draw(st.sampled_from(["", "edge", "location", "both"]))
+    if fill in ("edge", "both"):
+        pkt.edge_filter.fill()
+    if fill in ("location", "both"):
+        pkt.location_filter.fill()
+    nodes = [0, *relays]
+    truth = (path, tuple(seq)) if data.draw(st.booleans()) else None
+    out = recover_provenance(pkt, nodes, delta, rsu=0, truth=truth)
+    assert (out.arrangements, out.classification, out.truth_recovered) == two_stage(
+        pkt, nodes, delta, rsu=0, truth=truth
+    )
+    assert out.paths == tuple(sorted({p for p, _ in out.arrangements}))

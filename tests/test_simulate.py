@@ -1,5 +1,6 @@
 """Monte Carlo driver: sampling laws, seeding, and engine agreement."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from clbf import _batch, bloom
 from clbf.bloom import ParameterError, fnv1a64, mix64, _seed_tag
 from clbf.protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, edge_key, key_hashes, location_key
 from clbf.scenario import PRESETS, load_preset
-from clbf.segments import SegmentDictionary, enumerate_valid_sequences, is_valid_sequence
+from clbf.segments import ResourceCapError, SegmentDictionary, enumerate_valid_sequences, is_valid_sequence
 from clbf.simulate import (
     PLACEMENT_POLICIES,
     SWEEPABLE,
@@ -667,6 +668,29 @@ def test_sample_occupancy_builds_no_filter_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # a dense row would be 4 GiB
+
+
+def test_sample_occupancy_refuses_a_row_past_the_batch_budget():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="one trial needs 8589934592 bytes, past BATCH_BYTES"):
+            sample_occupancy(2**32 - 1, 2**30, 1, 1)  # 8 GiB of slots in one row
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any slot array exists
+
+
+# SHA-256 of the benchmark probe's counts, (m2, k2, h, trials) = (200, 8, 15, 2048)
+# at base seed 0, as little-endian int64
+OCCUPANCY_PROBE_DIGEST = "7369de8e39badf2b1345bc84720dfe518d1f9f35771fdf5a339744fd15fc07ee"
+
+
+def test_sample_occupancy_blocks_leave_the_counts_unchanged(monkeypatch):
+    counts = sample_occupancy(200, 8, 15, 2048)
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == OCCUPANCY_PROBE_DIGEST
+    monkeypatch.setattr(_batch, "BATCH_BYTES", 7 * 15 * 8 * 8)  # blocks of 7 rows
+    assert np.array_equal(sample_occupancy(200, 8, 15, 2048), counts)
 
 
 def test_sample_occupancy_deterministic_and_bounded():

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -12,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clbf import _batch
+from clbf import _batch, cli, protocol
 from clbf.bloom import ParameterError
 from clbf.cli import main
-from clbf.scenario import PRESETS, load_preset
+from clbf.scenario import _PRESET_TEXT, PRESETS, load_preset, load_scenario
 from clbf.segments import ResourceCapError
 from clbf.simulate import SWEEPABLE, PlacementSpec, SimulationSetup, run_point, run_sweep
 
@@ -165,6 +166,44 @@ def test_cli_simulate_exits_4_on_a_filter_no_batch_holds(tmp_path, two_workers, 
     assert rc == 4
     assert "BATCH_BYTES" in err and "Traceback" not in err
     assert two_workers == []
+
+
+def test_cli_trace_exits_4_on_a_filter_no_batch_holds(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "trial_packet", None)  # refused before the packet is built
+    scenario = tmp_path / "huge.ini"
+    scenario.write_text(
+        "[network]\nn = 6\ndelta = 3\nroad_length_m = 300.0\nplacement = free\n\n"
+        f"[filters]\nm1 = {2**32 - 1}\nk1 = 3\nm2 = 64\nk2 = 2\n\n"
+        "[experiment]\ntrials = 600\nbase_seed = 1\n"
+    )
+    rc = main(["trace", "--scenario", str(scenario), "--trial", "0"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "BATCH_BYTES" in err and "Traceback" not in err
+
+
+def test_an_engine_cap_error_names_the_trial_that_trace_replays(tmp_path, capsys, monkeypatch):
+    # hash-sweep-d8 through a narrow edge filter: many trials fall back to full recovery
+    scenario = tmp_path / "narrow.ini"
+    text = _PRESET_TEXT["hash-sweep-d8"].replace("m1 = 2048", "m1 = 64").replace("k1 = 8", "k1 = 2")
+    scenario.write_text(text)
+    scn = load_scenario(scenario)
+    param, values = scn.sweep
+    point = 3
+    setup = replace(scn.setup, **{SWEEPABLE[param]: values[point]})
+    monkeypatch.setattr(protocol, "PATH_CAP", 100)
+    with pytest.raises(ResourceCapError) as info:
+        _batch.run_point_counts(setup, 256, scn.base_seed, point)  # one range: runs inline
+    match = re.fullmatch(
+        r"point 3 trial (\d+) \(replay: clbf trace --point 3 --trial \1\): "
+        r"path search exceeded its cap of 100",
+        str(info.value),
+    )
+    assert match
+    argv = ["trace", "--scenario", str(scenario), "--point", "3", "--trial", match[1]]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "path search exceeded its cap of 100" in err and "Traceback" not in err
 
 
 def test_pool_is_rebuilt_after_a_worker_dies(two_workers):
