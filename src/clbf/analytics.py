@@ -39,12 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .bloom import check_geometry
 from .protocol import MAX_HOPS
-from .segments import _walk, count_valid_sequences  # noqa: F401  bench/layers.py wraps _walk
+from .segments import ResourceCapError, count_valid_sequences
+from .segments import _walk  # noqa: F401  bench/layers.py wraps _walk
 
 __all__ = [
     "BackendComparison",
@@ -55,6 +57,7 @@ __all__ = [
     "count_critical_pairs",
     "critical_pair_histogram",
     "critical_pair_histogram_closed",
+    "fp_curve",
     "fp_probability",
     "fp_subset_count",
     "fp_subset_totals",
@@ -103,14 +106,21 @@ class ModelParams:
 # occupancy of the location filter
 
 
+# cell updates (throws times support cells) one call may ask of the occupancy
+# walk: about 1.3 s at the ~1.2 ns a cell update took on a 2-vCPU Xeon
+WALK_CELLS = 1 << 30
+
+
 @lru_cache(maxsize=64)
 def _occupancy_walk(m2: int) -> list:
     """Frontier [throws, pmf] of the one occupancy walk kept per filter width."""
     return [0, np.ones(1)]
 
 
-def occupancy_pmf_vector(m2: int, k2: int, h: int) -> tuple[float, ...]:
-    """Pr(alpha lit bits) for alpha = 1..min(m2, k2*h), index alpha-1.
+def _occupancy_rows(m2: int, h: int, k2s: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k2, Pr(alpha lit bits) for alpha = 1..min(m2, k2*h)) per k2.
+
+    ``k2s`` is distinct and ascending.
 
     Each of the k2*h throws lands on a lit bit with probability alpha/m2,
     so p_{t+1}(a) = p_t(a)*a/m2 + p_t(a-1)*(m2-a+1)/m2.
@@ -121,26 +131,60 @@ def occupancy_pmf_vector(m2: int, k2: int, h: int) -> tuple[float, ...]:
     Entry a reads entries <= a only, its factors a/m2 and (m2-a+1)/m2 do
     not depend on the array length, and every entry past t throws is an
     exact zero, so zero-padding the frontier changes no bit.
+
+    A row is a view of the walk's array, valid until the next row is
+    drawn. The whole call is checked against WALK_CELLS before the first
+    throw; past it, ResourceCapError.
     """
-    if m2 < 1 or k2 < 1 or h < 1:
-        raise ValueError("m2, k2 and h must all be >= 1")
-    throws = k2 * h
+    throws = k2s[-1] * h
     top = min(m2, throws)
     walk = _occupancy_walk(m2)
     done, pmf = walk
-    if throws < done:
+    if k2s[0] * h < done:
         done, pmf = 0, np.ones(1)
+    updates = (throws - done) * (top + 1)
+    if updates > WALK_CELLS:
+        raise ResourceCapError(
+            f"the occupancy walk needs {throws - done} throws over a support of {top + 1} cells, "
+            f"{updates} cell updates, past WALK_CELLS = {WALK_CELLS}"
+        )
     # walk a copy and publish it whole, so a concurrent call never reads a
     # frontier that is half a throw along
     pmf = np.concatenate((pmf, np.zeros(top + 1 - len(pmf))))
     lit = np.arange(top + 1)
     stay = lit[1:] / m2
     grow = (m2 - lit[:-1]) / m2
-    for _ in range(throws - done):
-        pmf[1:] = pmf[1:] * stay + pmf[:-1] * grow
-        pmf[0] = 0.0
-    walk[:] = throws, pmf
-    return tuple(pmf[1:].tolist())
+    kept, moved = np.empty(top), np.empty(top)
+    # a throw updates cells 1..n only: after t throws every cell past t is an
+    # exact zero that stays zero until a throw reaches it, so n need only
+    # exceed t, and it grows 256 cells at a time
+    n = 0
+    for k2 in k2s:
+        for t in range(done, k2 * h):
+            if n <= t and n < top:
+                n = min(top, t + 256)
+                cur, prev, s, g = pmf[1 : n + 1], pmf[:n], stay[:n], grow[:n]
+                a, b = kept[:n], moved[:n]
+            np.multiply(cur, s, out=a)
+            np.multiply(prev, g, out=b)
+            np.add(a, b, out=cur)
+            pmf[0] = 0.0
+        done = k2 * h
+        if done == throws:  # publish before the last row, so no caller need drain
+            walk[:] = throws, pmf
+        yield k2, pmf[1 : min(m2, done) + 1]
+
+
+def occupancy_pmf_vector(m2: int, k2: int, h: int) -> tuple[float, ...]:
+    """Pr(alpha lit bits) for alpha = 1..min(m2, k2*h), index alpha-1.
+
+    One row of the shared per-width walk (`_occupancy_rows`); a walk past
+    WALK_CELLS raises ResourceCapError.
+    """
+    if m2 < 1 or k2 < 1 or h < 1:
+        raise ValueError("m2, k2 and h must all be >= 1")
+    ((_, row),) = _occupancy_rows(m2, h, [k2])
+    return tuple(row.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +335,69 @@ class FpBreakdown:
     clamped: bool
 
 
+# cells of occupancy law one evaluation block holds; rows are packed whole,
+# and a row longer than this gets a block of its own
+BLOCK_CELLS = 1 << 14
+
+
+def _histogram(backend: str, delta: int, h: int) -> tuple[int, ...]:
+    if backend not in BACKENDS:
+        raise ValueError(f"backend {backend!r} not in {BACKENDS}")
+    # one position has no substitute: the exact histogram is all zeros there
+    if backend == "closed_form" and h > 1:
+        return critical_pair_histogram_closed(delta, h)
+    return critical_pair_histogram(delta, h)
+
+
+def _fp_rows(
+    m2: int, h: int, k2s: list[int], hist: tuple[int, ...], n_seq: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, float, bool]]:
+    """Yield (k2, occupancy, conditional, total, clamped) per k2 of ``k2s``.
+
+    ``k2s`` is distinct and ascending.
+
+    The rows of one walk are packed end to end into blocks of about
+    BLOCK_CELLS cells, and each block takes one pass of the formula in
+    `fp_probability`. Every step is elementwise, so a row's cells, total
+    and clamp flag do not depend on the block it shares.
+    """
+    sizes = [min(m2, k2 * h) for k2 in k2s]
+    base = np.arange(1, max(sizes) + 1) / m2
+    terms = [(j, f) for j, f in enumerate(hist, start=1) if f]
+    rows = _occupancy_rows(m2, h, k2s)
+    first = 0
+    while first < len(k2s):
+        last, cells = first + 1, sizes[first]
+        while last < len(k2s) and cells + sizes[last] <= BLOCK_CELLS:
+            cells += sizes[last]
+            last += 1
+        occ, hit = np.empty(cells), np.empty(cells)
+        spans = []
+        at = 0
+        for size in sizes[first:last]:
+            k2, row = next(rows)
+            occ[at : at + size] = row
+            hit[at : at + size] = base[:size] ** k2
+            spans.append((k2, at, at + size))
+            at += size
+        with np.errstate(divide="ignore"):  # alpha = m2 lights every probe
+            log_miss = np.log1p(-hit)
+        raw, term = np.zeros(cells), hit  # hit is spent: its cells hold each term
+        for j, f in terms:  # raw += f * -expm1(j * log_miss), in place
+            np.multiply(log_miss, j, out=term)
+            np.expm1(term, out=term)
+            np.negative(term, out=term)
+            np.multiply(term, f, out=term)
+            raw += term
+        raw /= n_seq
+        conditional = np.minimum(raw, 1.0)
+        weighted = np.multiply(occ, conditional, out=term)
+        for k2, a, b in spans:
+            total = min(1.0, math.fsum(weighted[a:b].tolist()))
+            yield k2, occ[a:b], conditional[a:b], total, bool((raw[a:b] > 1.0).any())
+        first = last
+
+
 def fp_probability(params: ModelParams, backend: str = "closed_form") -> FpBreakdown:
     """Modeled ambiguity probability, averaged over the occupancy law.
 
@@ -308,34 +415,42 @@ def fp_probability(params: ModelParams, backend: str = "closed_form") -> FpBreak
     since a hit below machine epsilon would otherwise round it to 0. The
     total is sum_alpha Pr(alpha) * Pr(ambiguous | alpha), capped at 1.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend {backend!r} not in {BACKENDS}")
-    # one position has no substitute: the exact histogram is all zeros there
-    if backend == "closed_form" and params.h > 1:
-        hist = critical_pair_histogram_closed(params.delta, params.h)
-    else:
-        hist = critical_pair_histogram(params.delta, params.h)
+    hist = _histogram(backend, params.delta, params.h)
     n_seq = count_valid_sequences(params.delta, params.h)
-    occ = occupancy_pmf_vector(params.m2, params.k2, params.h)
-    hit = (np.arange(1, len(occ) + 1) / params.m2) ** params.k2
-    with np.errstate(divide="ignore"):  # alpha = m2 lights every probe
-        log_miss = np.log1p(-hit)
-    raw = np.zeros(len(occ))
-    for j, f in enumerate(hist, start=1):
-        if f:
-            raw += f * -np.expm1(j * log_miss)
-    raw /= n_seq
-    conditional = np.minimum(raw, 1.0).tolist()
+    ((_, occ, conditional, total, clamped),) = _fp_rows(
+        params.m2, params.h, [params.k2], hist, n_seq
+    )
     return FpBreakdown(
         params=params,
         backend=backend,
         n_sequences=n_seq,
-        occupancy=occ,
+        occupancy=tuple(occ.tolist()),
         critical_histogram=hist,
-        conditional=tuple(conditional),
-        total=min(1.0, math.fsum(p * value for p, value in zip(occ, conditional))),
-        clamped=bool((raw > 1.0).any()),
+        conditional=tuple(conditional.tolist()),
+        total=total,
+        clamped=clamped,
     )
+
+
+def fp_curve(
+    m2: int, h: int, delta: int, k2s: Iterable[int], backend: str = "closed_form"
+) -> list[tuple[float, bool]]:
+    """(total, clamped) of `fp_probability` at each k2 of ``k2s``, in their order.
+
+    One walk of the occupancy law and one block pass per ~BLOCK_CELLS cells
+    serve the whole curve; every value equals the per-point one.
+    """
+    k2s = list(k2s)
+    if not k2s:
+        return []
+    distinct = sorted(set(k2s))
+    for k2 in distinct:
+        ModelParams(m2=m2, k2=k2, h=h, delta=delta)
+    hist = _histogram(backend, delta, h)
+    n_seq = count_valid_sequences(delta, h)
+    rows = _fp_rows(m2, h, distinct, hist, n_seq)
+    got = {k2: (total, clamped) for k2, _, _, total, clamped in rows}
+    return [got[k2] for k2 in k2s]
 
 
 # ---------------------------------------------------------------------------

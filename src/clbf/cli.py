@@ -7,8 +7,9 @@ replays a single trial end to end for debugging.
 
 Output is deterministic byte for byte: no timestamps, no environment
 echoes, repr-formatted floats. Exit codes: 0 success, 2 usage, scenario or
-parameter errors, 3 infeasible optimization, 4 a recovery walk hit its
-resource cap.
+parameter errors, 3 infeasible optimization, 4 a recovery search or the
+occupancy walk hit its resource cap, 141 stdout closed before the output
+was complete.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .analytics import (
     BACKENDS,
     ModelParams,
     compare_backends,
+    fp_curve,
     fp_probability,
 )
 from .optimize import K2_SCAN_MAX, InfeasibleError, optimize_k2, split_budget
@@ -47,6 +49,9 @@ from .simulate import (
     trial_packet,
     trial_pid,
 )
+
+# a closed stdout ends a run as SIGPIPE would: 128 + 13, the status shells report
+EXIT_CLOSED_STDOUT = 141
 
 SWEEP_COLUMNS = (
     "parameter,value,trials,effective,unique,false_positive,miss,skipped,"
@@ -151,11 +156,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         fields = {"m2": args.m2, "k2": args.k2, "h": args.hops, "delta": args.delta}
         # every point is validated before the first row goes out
         points = [ModelParams(**{**fields, param: v}) for v in values]
+        if param == "k2":  # one walk and one array pass for the whole curve
+            curve = fp_curve(args.m2, args.hops, args.delta, values, backend=args.backend)
+        else:
+            breakdowns = (fp_probability(p, backend=args.backend) for p in points)
+            curve = [(bd.total, bd.clamped) for bd in breakdowns]
         print("# schema: clbf.analyze.v1")
         print("# columns: parameter,value,model_fp,clamped")
-        for v, params in zip(values, points):
-            bd = fp_probability(params, backend=args.backend)
-            print(f"{param},{v},{_f(bd.total)},{int(bd.clamped)}")
+        for v, (total, clamped) in zip(values, curve):
+            print(f"{param},{v},{_f(total)},{int(clamped)}")
         return 0
     bd = fp_probability(
         ModelParams(m2=args.m2, k2=args.k2, h=args.hops, delta=args.delta),
@@ -394,6 +403,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (`| head`): stop quietly, and point stdout at
+        # devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except OSError as exc:  # a path that is missing, a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytics import ModelParams, fp_probability
+from .analytics import fp_curve, fp_probability  # noqa: F401  bench/layers.py wraps fp_probability
 
 __all__ = ["BudgetSplit", "InfeasibleError", "edge_query_fp", "optimize_k2", "split_budget"]
 
@@ -38,14 +38,10 @@ def optimize_k2(m2: int, h: int, delta: int) -> tuple[int, float]:
     """
     if m2 < 1:
         raise ValueError(f"m2={m2} must be >= 1")
-    best_k, best_fp = None, math.inf
-    for k2 in range(1, min(m2, K2_SCAN_MAX) + 1):
-        params = ModelParams(m2=m2, k2=k2, h=h, delta=delta)
-        fp = fp_probability(params).total
-        if fp < best_fp:
-            best_k, best_fp = k2, fp
-    assert best_k is not None
-    return best_k, best_fp
+    k2s = range(1, min(m2, K2_SCAN_MAX) + 1)
+    curve = fp_curve(m2, h, delta, k2s)
+    fp, k2 = min((fp, k2) for k2, (fp, _) in zip(k2s, curve))
+    return k2, fp
 
 
 def edge_query_fp(m1: int, k1: int, h: int) -> float:

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .analytics import ModelParams, fp_probability
+from .analytics import ModelParams, fp_curve, fp_probability
 from .bloom import GAMMA, ParameterError, check_geometry, mix64
 from .protocol import MAX_HOPS, Clbf, RecoveryOutcome, recover_provenance
 from .segments import SegmentDictionary
@@ -482,9 +482,13 @@ def run_sweep(
     counts = _batch.map_point_counts(
         [(point, trials, base_seed, i) for i, point in enumerate(points)]
     )
+    if field == "k2":  # one walk and one array pass for the whole curve
+        curve = fp_curve(setup.m2, setup.h, setup.num_segments, values, backend=backend)
+        models = [total for total, _ in curve]
+    else:
+        models = [fp_probability(p.model_params(), backend=backend).total for p in points]
     rows = []
-    for i, (point, value) in enumerate(zip(points, values)):
-        model = fp_probability(point.model_params(), backend=backend).total
+    for i, (model, value) in enumerate(zip(models, values)):
         unique, fp, miss, skipped = next(counts)
         rows.append(
             SweepRow(

@@ -18,12 +18,15 @@ from clbf.analytics import (
     count_critical_pairs,
     critical_pair_histogram,
     critical_pair_histogram_closed,
+    fp_curve,
     fp_probability,
     fp_subset_count,
     fp_subset_totals,
     occupancy_pmf_vector,
 )
+from clbf.optimize import optimize_k2
 from clbf.segments import (
+    ResourceCapError,
     count_valid_sequences,
     enumerate_valid_sequences,
     is_valid_sequence,
@@ -171,6 +174,27 @@ def test_shared_walk_matches_from_zero_on_any_call_sequence(calls):
     analytics._occupancy_walk.cache_clear()
     for m2, k2, h in calls:
         assert occupancy_pmf_vector(m2, k2, h) == walk_from_zero(m2, k2, h)
+
+
+def test_walk_past_its_cell_budget_is_refused_before_it_starts(monkeypatch):
+    monkeypatch.setattr(analytics, "WALK_CELLS", 30 * 31)
+    analytics._occupancy_walk.cache_clear()
+    # 30 throws over cells 0..30: exactly the budget
+    assert occupancy_pmf_vector(200, 2, 15) == walk_from_zero(200, 2, 15)
+    # a continuation pays for its new throws only: 15 * 46, then 15 * 61
+    assert occupancy_pmf_vector(200, 3, 15) == walk_from_zero(200, 3, 15)
+    assert occupancy_pmf_vector(200, 4, 15) == walk_from_zero(200, 4, 15)
+    with pytest.raises(ResourceCapError) as exc:
+        occupancy_pmf_vector(200, 5, 15)  # 15 * 76
+    assert str(exc.value) == (
+        "the occupancy walk needs 15 throws over a support of 76 cells, "
+        "1140 cell updates, past WALK_CELLS = 930"
+    )
+    assert analytics._occupancy_walk(200)[0] == 60  # the frontier did not move
+    for call in (lambda: fp_curve(200, 15, 4, [1, 5]), lambda: optimize_k2(200, 15, 4)):
+        with pytest.raises(ResourceCapError):
+            call()
+    analytics._occupancy_walk.cache_clear()
 
 
 def test_occupancy_trivial_cases():

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,35 @@ def test_cli_analyze_sweep_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "# schema: clbf.analyze.v1"
     assert len(lines) == 2 + 4
+
+
+def test_cli_occupancy_walk_past_its_budget_exits_4(capsys):
+    t0 = time.perf_counter()
+    rc = main(["analyze", "--m2", "100000", "--k2", "2000", "--hops", "50", "--delta", "3"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == (
+        "resource cap exceeded: the occupancy walk needs 100000 throws over a support of "
+        "100001 cells, 10000100000 cell updates, past WALK_CELLS = 1073741824\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_cli_closed_stdout_ends_quietly():
+    # 20 000 rows, some 560 kB: more than a pipe holds, so the run is still
+    # writing when the reader leaves
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "clbf.cli", "analyze", "--m2", "200", "--k2", "8",
+            "--hops", "15", "--delta", "8", "--sweep", "k2:" + ",".join(["8"] * 20_000)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as run:
+        assert run.stdout.readline() == b"# schema: clbf.analyze.v1\n"
+        run.stdout.close()  # as `| head -1` does
+        err = run.stderr.read()
+        assert run.wait(timeout=120) == cli.EXIT_CLOSED_STDOUT == 141
+    assert err == b""
 
 
 def test_cli_analyze_compare_histograms(capsys):
