@@ -58,7 +58,7 @@ import numpy as np
 
 from .bloom import GAMMA, _GAMMA, _mix, _probe, _slots, check_geometry, mix64
 from .protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, key_hashes, recover_provenance
-from .segments import ResourceCapError, count_valid_sequences
+from .segments import BUDGET_BYTES, ResourceCapError, count_valid_sequences
 from .simulate import (
     NoValidPath,
     SimulationSetup,
@@ -95,7 +95,7 @@ BATCH = 512
 # min(delta, h) location cells) and, under the `random` placement, its own
 # int64 completion table. A batch takes BATCH rows or as many as fit; a
 # point whose one row does not fit is refused with `ResourceCapError`.
-BATCH_BYTES = 1 << 26
+BATCH_BYTES = BUDGET_BYTES
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)

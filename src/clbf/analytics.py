@@ -133,8 +133,8 @@ def _occupancy_rows(m2: int, h: int, k2s: list[int]) -> Iterator[tuple[int, np.n
     exact zero, so zero-padding the frontier changes no bit.
 
     A row is a view of the walk's array, valid until the next row is
-    drawn. The whole call is checked against WALK_CELLS before the first
-    throw; past it, ResourceCapError.
+    drawn. The whole walk is checked against WALK_CELLS when this is
+    called, before the first throw; past it, ResourceCapError.
     """
     throws = k2s[-1] * h
     top = min(m2, throws)
@@ -148,6 +148,15 @@ def _occupancy_rows(m2: int, h: int, k2s: list[int]) -> Iterator[tuple[int, np.n
             f"the occupancy walk needs {throws - done} throws over a support of {top + 1} cells, "
             f"{updates} cell updates, past WALK_CELLS = {WALK_CELLS}"
         )
+    return _walk_rows(walk, m2, h, k2s, done, pmf)
+
+
+def _walk_rows(
+    walk: list, m2: int, h: int, k2s: list[int], done: int, pmf: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """`_occupancy_rows`' walk from ``done`` throws and frontier ``pmf``."""
+    throws = k2s[-1] * h
+    top = min(m2, throws)
     # walk a copy and publish it whole, so a concurrent call never reads a
     # frontier that is half a throw along
     pmf = np.concatenate((pmf, np.zeros(top + 1 - len(pmf))))
@@ -335,6 +344,13 @@ class FpBreakdown:
     clamped: bool
 
 
+# term evaluations one call may ask of the array pass after the walk: a
+# cell of occupancy law costs one per nonzero J term, plus CELL_TERMS for
+# its own hit, log, clamp and sum; about 1.2 s at the ~4.5 ns a term
+# evaluation took on a 2-vCPU Xeon
+EVAL_TERMS = 1 << 28
+CELL_TERMS = 20
+
 # cells of occupancy law one evaluation block holds; rows are packed whole,
 # and a row longer than this gets a block of its own
 BLOCK_CELLS = 1 << 14
@@ -359,12 +375,21 @@ def _fp_rows(
     The rows of one walk are packed end to end into blocks of about
     BLOCK_CELLS cells, and each block takes one pass of the formula in
     `fp_probability`. Every step is elementwise, so a row's cells, total
-    and clamp flag do not depend on the block it shares.
+    and clamp flag do not depend on the block it shares. Before the first
+    throw, the walk is checked against WALK_CELLS and then the pass
+    against EVAL_TERMS; past either, ResourceCapError.
     """
     sizes = [min(m2, k2 * h) for k2 in k2s]
-    base = np.arange(1, max(sizes) + 1) / m2
     terms = [(j, f) for j, f in enumerate(hist, start=1) if f]
-    rows = _occupancy_rows(m2, h, k2s)
+    rows = _occupancy_rows(m2, h, k2s)  # the walk's own check comes first
+    support = sum(sizes)
+    cost = support * (len(terms) + CELL_TERMS)
+    if cost > EVAL_TERMS:
+        raise ResourceCapError(
+            f"the model evaluation needs {support} cells of occupancy law times {len(terms)} J terms "
+            f"(+ {CELL_TERMS} per cell), {cost} term evaluations, past EVAL_TERMS = {EVAL_TERMS}"
+        )
+    base = np.arange(1, max(sizes) + 1) / m2
     first = 0
     while first < len(k2s):
         last, cells = first + 1, sizes[first]

@@ -27,8 +27,9 @@ key bytes, the seeded slot of every level, and a probe that tests arrays of
 key hashes level by level, computing slot L only for the keys still
 positive after L levels. The receiver (`BloomFilter.contains_hashes`) and
 the simulation engine both use it; a property test keeps it equal to the
-scalar `contains` key by key. The byte columns of the protocol's keys are
-laid out by one function, `protocol.key_hashes`.
+scalar `contains` key by key. The receiver unpacks its filter to one byte
+per bit for the probe, within `segments.BUDGET_BYTES`. The byte columns of
+the protocol's keys are laid out by one function, `protocol.key_hashes`.
 
 A filter has no wire image of its own: its ceil(m / 8) bytes of bits,
 packed LSB-first (`raw_bits`, `load_bits`), travel inside the packet image
@@ -38,6 +39,8 @@ that `protocol` describes.
 from __future__ import annotations
 
 import numpy as np
+
+from .segments import BUDGET_BYTES, ResourceCapError
 
 __all__ = [
     "BloomFilter",
@@ -131,21 +134,31 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fnv(shape: tuple[int, ...], terms) -> np.ndarray:
-    """`fnv1a64` of keys given as byte columns, broadcast to `shape`.
+def _fnv(terms, acc=None) -> np.ndarray:
+    """`fnv1a64` state after key bytes ``terms``, continued from ``acc``.
 
-    Each term is one key byte: a scalar or an array. The state only grows
-    to the broadcast shape of the terms seen so far, so bytes shared along
-    an axis are hashed once, and a zero byte costs no XOR.
+    Each term is one key byte: a scalar or an array. ``acc`` is an FNV-1a
+    state (the offset basis when None) and is never written to. The state
+    only grows to the broadcast shape of the terms seen so far, so bytes
+    shared along an axis are hashed once. A zero byte costs no XOR, so a
+    run of them is one multiply by the prime's power (mod 2^64).
     """
-    acc = np.array(_OFFSET)
+    acc = np.array(_OFFSET if acc is None else acc)
+    power = 1  # the prime's power owed by the zero bytes since the last XOR
     for t in terms:
-        if isinstance(t, np.ndarray) and np.broadcast(acc, t).shape != acc.shape:
-            acc = acc ^ t
-        elif isinstance(t, np.ndarray) or t:
-            acc ^= t
-        acc *= _PRIME
-    return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
+        if isinstance(t, np.ndarray) or t:
+            if power != 1:
+                acc *= _U64(power)
+            if isinstance(t, np.ndarray) and np.broadcast(acc, t).shape != acc.shape:
+                acc = acc ^ t
+            else:
+                acc ^= t
+            power = FNV_PRIME
+        else:
+            power = power * FNV_PRIME & _MASK64
+    if power != 1:
+        acc *= _U64(power)
+    return acc
 
 
 def _slots(base: np.ndarray, m: int, first: int, stop: int) -> np.ndarray:
@@ -180,13 +193,18 @@ def _probe(bits: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
     keys = keys.reshape(rows, per_row)
     stop = min(k, max(1, _PASS_SLOTS // max(keys.size, 1)))
     idx = _slots(keys, m, 0, stop)
-    idx += (np.arange(rows) * m)[:, None, None]
-    live = np.flatnonzero(flat[idx].all(axis=-1))
+    if rows > 1:
+        idx += (np.arange(rows) * m)[:, None, None]
+    hit = flat[idx].all(axis=-1)
+    if stop == k:
+        return hit
+    live = np.flatnonzero(hit)
     keys = keys.ravel()
     while stop < k and len(live):
         level, stop = stop, min(k, stop + max(1, _PASS_SLOTS // len(live)))
         idx = _slots(keys[live], m, level, stop)
-        idx += (live // per_row * m)[:, None]
+        if rows > 1:
+            idx += (live // per_row * m)[:, None]
         live = live[flat[idx].all(axis=-1)]
     out = np.zeros(rows * per_row, dtype=bool)
     out[live] = True
@@ -237,8 +255,14 @@ class BloomFilter:
         """`contains` of every key whose FNV-1a hash is in `h0` (uint64), elementwise.
 
         Unpacks the filter to one byte per bit for the call, which is small
-        at in-packet sizes.
+        at in-packet sizes; an image past `BUDGET_BYTES` raises
+        ResourceCapError before any of it is made.
         """
+        if self.m > BUDGET_BYTES:
+            raise ResourceCapError(
+                f"unpacking a filter of m={self.m} bits needs {self.m} bytes, "
+                f"past BUDGET_BYTES = {BUDGET_BYTES}"
+            )
         bits = np.unpackbits(
             np.frombuffer(self._bits, dtype=np.uint8), count=self.m, bitorder="little"
         ).view(bool)

@@ -10,8 +10,13 @@ hop counter reads h.
 
 Recovery runs entirely on the receiver, in one joint search
 (`recover_provenance`): hash every ordered relay pair and every (relay,
-fragment) cell as arrays in one call, probe each filter once, then run
-one level sweep, RSU-outward, over pairs (relay chain, fragment prefix).
+fragment) cell as arrays, probe each filter once, then run one level
+sweep, RSU-outward, over pairs (relay chain, fragment prefix). Packets
+decoded over one node universe share every key byte but the pid's, so
+the hash state before the pid of that key grid is computed once and kept
+in a small bounded cache (`RELAY_GRIDS` universes, keyed by the distinct
+node ids, the RSU id and the fragment count); a packet then folds in its
+8 pid bytes. The cache holds no packet state.
 Each level extends every pair by one predecessor whose edge into the
 chain and whose location cell are both positive, so a chain that carries
 no fragment sequence dies at the first position it cannot fill. Every
@@ -37,7 +42,9 @@ last element = the source), matching the segment-sequence convention.
 Keys are (u16, u16, u64 pid) field tuples under `encode_key`: `edge_key`
 and `location_key` build one key's bytes, and `key_hashes` hashes the same
 layout over arrays of fields, for the receiver's probes here and for the
-simulation engine.
+simulation engine. It is the composition of `_key_prefix`, the state
+after the 10 bytes no pid changes (both fields and the pid's length
+prefix), and `_fold_pid`, the pid's 8 bytes.
 
 Wire format, all little-endian: pid u64, hop_count u8, m1 u32, m2 u32,
 k1 u16, k2 u16, seed u64 (29 bytes), then the raw packed bits of the edge
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
@@ -206,13 +214,48 @@ class Clbf:
 # recovery
 
 
-def _node_ids(nodes: Iterable[int]) -> np.ndarray:
+def _universe(nodes: Iterable[int]) -> tuple[int, ...]:
     """The distinct ids of ``nodes``, ascending, checked against the u16 range."""
     ids = sorted(set(nodes))
-    if ids:  # before the cast, which would wrap a negative id
+    if ids:
         _u16(ids[0], "node id")
         _u16(ids[-1], "node id")
-    return np.array(ids, dtype=np.uint64)
+    return tuple(ids)
+
+
+def _node_ids(nodes: Iterable[int]) -> np.ndarray:
+    """`_universe` as a uint64 array; its range check comes before the
+    cast, which would wrap a negative id."""
+    return np.array(_universe(nodes), dtype=np.uint64)
+
+
+def _field_bytes(value, width: int, what: str) -> list:
+    """One `encode_key` field as key-byte columns: its u16 length prefix, then
+    the value little-endian. An int gives plain, range-checked bytes; an
+    array gives one array per byte, not range-checked."""
+    if isinstance(value, int):
+        data = (_u16 if width == 2 else _u64)(value, what)
+    else:
+        data = [(value >> np.uint64(8 * j)) & np.uint64(0xFF) for j in range(width)]
+    return [width, 0, *data]
+
+
+def _key_prefix(first, second) -> np.ndarray:
+    """FNV-1a state of `key_hashes` keys after the bytes no pid changes.
+
+    Those are both fields and the pid's ``8, 0`` length prefix, 10 of a
+    key's 18 bytes; the state has the broadcast shape of the two fields.
+    """
+    fields = _field_bytes(first, 2, "key field") + _field_bytes(second, 2, "key field")
+    return _fnv(fields + [8, 0])
+
+
+def _fold_pid(prefix: np.ndarray, pid) -> np.ndarray:
+    """The keys' hashes: `_key_prefix` states continued over the pid's 8 bytes.
+
+    ``prefix`` is read, never written.
+    """
+    return _fnv(_field_bytes(pid, 8, "pid")[2:], prefix)
 
 
 def key_hashes(first, second, pid) -> np.ndarray:
@@ -222,17 +265,13 @@ def key_hashes(first, second, pid) -> np.ndarray:
     together: ``key_hashes(ids[:, None], ids, pid)`` hashes every ordered
     pair of ``ids``. Bytes shared along an axis are hashed once. An int
     field gives plain, range-checked bytes, whose zeros cost no XOR; array
-    fields are not range-checked.
+    fields are not range-checked. It is `_key_prefix` followed by
+    `_fold_pid`, so a receiver that keeps the prefix of a fixed key grid
+    pays only the pid's bytes per packet.
     """
-    terms = []
-    for value, width, what in ((first, 2, "key field"), (second, 2, "key field"), (pid, 8, "pid")):
-        if isinstance(value, int):
-            data = (_u16 if width == 2 else _u64)(value, what)
-        else:
-            data = [(value >> np.uint64(8 * j)) & np.uint64(0xFF) for j in range(width)]
-        terms += [width, 0, *data]  # `encode_key`: u16 length prefix, value little-endian
+    out = _fold_pid(_key_prefix(first, second), pid)
     shape = np.broadcast_shapes(np.shape(first), np.shape(second), np.shape(pid))
-    return _fnv(shape, terms)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def recover_edges(clbf: Clbf, nodes: Sequence[int]) -> set[tuple[int, int]]:
@@ -342,6 +381,28 @@ def recover_locations(
     return level
 
 
+# node universes whose key grid the receiver keeps; one serves a roadside
+# unit that decodes over a fixed universe, as every caller here does
+RELAY_GRIDS = 4
+
+
+@lru_cache(maxsize=RELAY_GRIDS)
+def _relay_grid(ids: tuple[int, ...], rsu: int, width: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The relays of a node universe and the `_key_prefix` grid of its keys.
+
+    ``ids`` is a `_universe`; the relays are its ids other than ``rsu``.
+    Row i of the read-only grid is relay i: its first r columns pair it with
+    each relay (edge keys), the next ``width`` with fragments 1..width
+    (location keys). No entry depends on a packet.
+    """
+    relays = tuple(n for n in ids if n != rsu)
+    column = np.array(relays, dtype=np.uint64)
+    fragments = np.arange(1, width + 1, dtype=np.uint64)
+    grid = _key_prefix(column[:, None], np.concatenate([column, fragments]))
+    grid.flags.writeable = False
+    return relays, grid
+
+
 @dataclass(frozen=True)
 class RecoveryOutcome:
     """Everything the receiver can say about one packet's provenance.
@@ -373,9 +434,11 @@ def recover_provenance(
     e.g. in simulation; without it a miss is only detectable as an empty
     arrangement set.
 
-    One `key_hashes` call covers every ordered relay pair and every cell
-    (relay, 1..min(num_segments, hop count)); each filter is probed once.
-    A level sweep, RSU-outward, then grows pairs (chain, fragment prefix):
+    The keys of every ordered relay pair and every cell (relay,
+    1..min(num_segments, hop count)) form the universe's `_relay_grid`,
+    hashed up to the pid once per universe; the packet folds in its pid,
+    and each filter is probed once. A level sweep, RSU-outward, then
+    grows pairs (chain, fragment prefix):
     level 0 holds the relays whose (relay, 1) cell is positive, and each
     level extends a pair by a predecessor p not yet on the chain whose
     edge p -> chain[-1] is positive, with a next fragment s in
@@ -384,29 +447,27 @@ def recover_provenance(
     of `recover_paths` followed by `recover_locations` on every path.
 
     Raises ParameterError when the packet's hop count is 0 (nothing was
-    embedded) or exceeds the number of relay candidates (no simple chain
-    of that length exists over ``nodes``), when an id in ``nodes`` is
-    outside the u16 range, or when ``num_segments`` is outside 1..65535.
+    embedded) or exceeds the number of distinct relay candidates (no
+    simple chain of that length exists over ``nodes``), when an id in
+    ``nodes`` is outside the u16 range, or when ``num_segments`` is
+    outside 1..65535, in that order.
     Raises ResourceCapError once the pairs made, level 0 included, pass
     `PATH_CAP`.
     """
-    candidates = [n for n in nodes if n != rsu]
+    universe = set(nodes)
     if clbf.hop_count < 1:
         raise ParameterError("packet hop_count is 0: no hop was embedded")
-    if clbf.hop_count > len(candidates):
+    r = len(universe) - (rsu in universe)
+    if clbf.hop_count > r:
         raise ParameterError(
-            f"packet hop_count {clbf.hop_count} exceeds the {len(candidates)} "
+            f"packet hop_count {clbf.hop_count} exceeds the {r} "
             "relay candidates among the probed nodes"
         )
-    _node_ids(nodes)  # every id range-checked, the RSU's included
+    ids = _universe(universe)  # every id range-checked, the RSU's included
     if not 1 <= num_segments <= 0xFFFF:
         raise ParameterError(f"segment count {num_segments} outside 1..65535")
-    relays = _node_ids(candidates)
-    r = len(relays)
-    # edge and location keys share one layout: columns 0..r-1 pair each
-    # relay with a relay, the rest with a fragment
-    fragments = np.arange(1, min(num_segments, clbf.hop_count) + 1, dtype=np.uint64)
-    keys = key_hashes(relays[:, None], np.concatenate([relays, fragments]), clbf.pid)
+    relays, prefix = _relay_grid(ids, rsu, min(num_segments, clbf.hop_count))
+    keys = _fold_pid(prefix, clbf.pid)
     edge = clbf.edge_filter.contains_hashes(keys[:, :r])
     np.fill_diagonal(edge, False)
     # pred[b]: the relays a whose edge a -> b tests positive, ascending;
@@ -433,8 +494,7 @@ def recover_provenance(
             ),
             room, "path search", cap,
         )
-    ids = relays.tolist()
-    arrangements = sorted((tuple(ids[i] for i in c), q) for c, q in level)
+    arrangements = sorted((tuple(relays[i] for i in c), q) for c, q in level)
     paths = tuple(dict.fromkeys(p for p, _ in arrangements))
     truth_recovered = None if truth is None else (tuple(truth[0]), tuple(truth[1])) in arrangements
     missed = truth_recovered is False or not arrangements

@@ -34,6 +34,12 @@ class ResourceCapError(RuntimeError):
     """An enumeration would exceed its guard cap."""
 
 
+# Bytes one input-sized array may hold: a batch of the simulation engine
+# (`_batch.BATCH_BYTES`) or a filter unpacked to one byte per bit
+# (`BloomFilter.contains_hashes`); past it, ResourceCapError.
+BUDGET_BYTES = 1 << 26
+
+
 @dataclass(frozen=True)
 class SegmentDictionary:
     """Uniform fragmentation of a road into equal half-open intervals."""

@@ -197,6 +197,30 @@ def test_walk_past_its_cell_budget_is_refused_before_it_starts(monkeypatch):
     analytics._occupancy_walk.cache_clear()
 
 
+def test_model_evaluation_past_its_budget_is_refused_before_the_walk(monkeypatch):
+    analytics._occupancy_walk.cache_clear()
+    # k2 = 1..4 at h = 15 over m2 = 200: 15 + 30 + 45 + 60 cells, and
+    # delta = 4 gives the histogram 6 nonzero J terms
+    assert sum(1 for f in analytics._histogram("closed_form", 4, 15) if f) == 6
+    expected = fp_curve(200, 15, 4, [1, 2, 3, 4])
+    analytics._occupancy_walk.cache_clear()
+    monkeypatch.setattr(analytics, "EVAL_TERMS", 150 * 26)
+    assert fp_curve(200, 15, 4, [1, 2, 3, 4]) == expected  # exactly the budget
+    analytics._occupancy_walk.cache_clear()
+    with pytest.raises(ResourceCapError) as exc:
+        fp_curve(200, 15, 4, [1, 2, 3, 5])
+    assert str(exc.value) == (
+        "the model evaluation needs 165 cells of occupancy law times 6 J terms (+ 20 per cell), "
+        "4290 term evaluations, past EVAL_TERMS = 3900"
+    )
+    assert analytics._occupancy_walk(200)[0] == 0  # refused before the first throw
+    # a call past both budgets reports the walk's
+    monkeypatch.setattr(analytics, "WALK_CELLS", 10)
+    with pytest.raises(ResourceCapError, match="the occupancy walk needs 75 throws"):
+        fp_curve(200, 15, 4, [1, 2, 3, 5])
+    analytics._occupancy_walk.cache_clear()
+
+
 def test_occupancy_trivial_cases():
     assert occupancy_pmf_vector(2, 1, 1) == (pytest.approx(1.0),)
     vec = occupancy_pmf_vector(2, 1, 2)

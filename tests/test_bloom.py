@@ -15,6 +15,7 @@ from clbf.bloom import (
     mix64,
 )
 from clbf.protocol import key_hashes
+from clbf.segments import ResourceCapError
 
 KEY = bytes([2, 0, 2, 0, 2, 0, 3, 0, 8, 0, 5, 0, 0, 0, 0, 0, 0, 0])
 
@@ -113,6 +114,25 @@ def test_seed_changes_the_bit_pattern():
     b.insert(b"key")
     assert a.raw_bits() != b.raw_bits()
     assert a != b
+
+
+def test_unpacked_filter_past_the_budget_is_refused(monkeypatch):
+    from clbf import _batch, segments
+
+    assert bloom.BUDGET_BYTES == _batch.BATCH_BYTES == segments.BUDGET_BYTES == 1 << 26
+    h0 = np.arange(5, dtype=np.uint64)
+    big = BloomFilter(segments.BUDGET_BYTES + 1, 1)
+    with pytest.raises(ResourceCapError) as exc:
+        big.contains_hashes(h0)
+    assert str(exc.value) == (
+        "unpacking a filter of m=67108865 bits needs 67108865 bytes, past BUDGET_BYTES = 67108864"
+    )
+    monkeypatch.setattr(bloom, "BUDGET_BYTES", 64)
+    at = BloomFilter(64, 2)
+    at.fill()
+    assert at.contains_hashes(h0).all()  # exactly the budget
+    with pytest.raises(ResourceCapError, match="m=65 bits"):
+        BloomFilter(65, 2).contains_hashes(h0)
 
 
 def test_gamma_is_odd():

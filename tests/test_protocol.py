@@ -3,11 +3,12 @@
 import itertools
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clbf import protocol
-from clbf.bloom import ParameterError
+from clbf.bloom import ParameterError, fnv1a64
 from clbf.protocol import (
     FALSE_POSITIVE,
     MISS,
@@ -15,6 +16,7 @@ from clbf.protocol import (
     Clbf,
     ProtocolError,
     edge_key,
+    key_hashes,
     location_key,
     location_table,
     recover_edges,
@@ -449,9 +451,53 @@ def test_recover_provenance_rejects_a_packet_without_hops():
 def test_recover_provenance_rejects_more_hops_than_relay_candidates():
     pkt = make_packet(m1=4096, k1=6, m2=2048, k2=6)
     pkt.embed_path((3, 1, 2), (1, 1, 2))
-    # nodes 0..2 leave two relays besides the receiver, too few for 3 hops
+    # nodes 0..2 leave two relays besides the receiver, too few for 3 hops;
+    # a listed twice is still one relay
+    for nodes in (range(3), [0, 1, 1, 2], [2, 1, 2, 0, 1]):
+        with pytest.raises(ParameterError, match="hop_count 3 exceeds the 2 relay candidates"):
+            recover_provenance(pkt, nodes=nodes, num_segments=3, rsu=0)
+    # a receiver absent from the universe leaves all of it to the relays
     with pytest.raises(ParameterError, match="hop_count 3 exceeds the 2 relay candidates"):
-        recover_provenance(pkt, nodes=range(3), num_segments=3, rsu=0)
+        recover_provenance(pkt, nodes=[1, 2, 2], num_segments=3, rsu=9)
+    assert recover_provenance(pkt, nodes=[1, 2, 3, 3], num_segments=3, rsu=9).classification == UNIQUE
+
+
+def test_recover_provenance_errors_keep_their_order():
+    # each case also breaks every rule checked after the one it expects
+    pkt = make_packet(m1=4096, k1=6, m2=2048, k2=6)
+    pkt.embed_path((3, 1, 2), (1, 1, 2))
+    cases = [
+        (make_packet(), [0, 1, -1], 0, "packet hop_count is 0: no hop was embedded"),
+        (pkt, [0, 1, 1, -1], 0, "packet hop_count 3 exceeds the 2 relay candidates among the probed nodes"),
+        (pkt, [0, 1, 2, 1 << 16], 0, "node id 65536 outside u16 range"),
+        (pkt, [-1, 0, 1, 2], 1 << 16, "node id -1 outside u16 range"),
+        (pkt, range(4), 1 << 16, "segment count 65536 outside 1..65535"),
+        (pkt, range(4), 0, "segment count 0 outside 1..65535"),
+    ]
+    for warm in (False, True):
+        for packet, nodes, num_segments, message in cases:
+            if warm:  # the universe's grid is cached; no error depends on it
+                recover_provenance(pkt, [n for n in range(4)], 3, rsu=0)
+            else:
+                protocol._relay_grid.cache_clear()
+            with pytest.raises(ParameterError) as exc:
+                recover_provenance(packet, nodes, num_segments, rsu=0)
+            assert str(exc.value) == message
+
+
+def test_key_grid_cache_is_bounded_and_read_only():
+    protocol._relay_grid.cache_clear()
+    assert protocol._relay_grid.cache_info().maxsize == protocol.RELAY_GRIDS
+    pkt = make_packet(m1=4096, k1=6, m2=2048, k2=6)
+    pkt.embed_path((3, 1, 2), (1, 1, 2))
+    for extra in range(2 * protocol.RELAY_GRIDS + 1):
+        out = recover_provenance(pkt, [0, 1, 2, 3, 10 + extra], 3, rsu=0, truth=((3, 1, 2), (1, 1, 2)))
+        assert out.classification == UNIQUE
+        assert protocol._relay_grid.cache_info().currsize <= protocol.RELAY_GRIDS
+    relays, grid = protocol._relay_grid((0, 1, 2, 3), 0, 3)
+    assert relays == (1, 2, 3) and grid.shape == (3, 3 + 3)
+    assert not grid.flags.writeable
+    protocol._relay_grid.cache_clear()
 
 
 def test_classification_labels():
@@ -598,3 +644,66 @@ def test_joint_sweep_equals_the_two_stage_search(data):
         pkt, nodes, delta, rsu=0, truth=truth
     )
     assert out.paths == tuple(sorted({p for p, _ in out.arrangements}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_key_hashes_is_the_prefix_then_the_pid_fold(data):
+    def field(bits):
+        scalar = st.integers(0, (1 << bits) - 1)
+        return scalar | st.lists(scalar, min_size=1, max_size=4).map(lambda v: np.array(v, dtype=np.uint64))
+
+    first, second, pid = data.draw(field(16)), data.draw(field(16)), data.draw(field(64))
+    if isinstance(first, np.ndarray) and isinstance(second, np.ndarray):
+        first = first[:, None]  # an axis of its own, as the receiver's grid pairs them
+    if isinstance(pid, np.ndarray):
+        pid = pid.reshape((-1,) + (1,) * np.ndim(np.broadcast(first, second)))
+    shape = np.broadcast_shapes(np.shape(first), np.shape(second), np.shape(pid))
+    prefix = protocol._key_prefix(first, second)
+    before = prefix.copy()
+    folded = np.broadcast_to(protocol._fold_pid(prefix, pid), shape)
+    assert np.array_equal(prefix, before)  # the fold reads its prefix only
+    got = key_hashes(first, second, pid)
+    assert got.shape == shape and np.array_equal(got, folded)
+    a, b, p = np.broadcast_arrays(np.uint64(first), np.uint64(second), np.uint64(pid))
+    for index in np.ndindex(shape):
+        assert int(got[index]) == fnv1a64(edge_key(int(a[index]), int(b[index]), int(p[index])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_decoding_with_a_cold_key_grid_equals_decoding_with_a_warm_one(data):
+    relays = data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=7, unique=True))
+    rsu = data.draw(st.sampled_from([0, 301]))  # 301 is in no universe
+    nodes = relays + data.draw(st.lists(st.sampled_from(relays), max_size=3))  # duplicates
+    nodes = data.draw(st.permutations(nodes + [0] * data.draw(st.integers(0, 2))))
+    universe = set(nodes) - {rsu}
+    delta = data.draw(st.integers(1, 6))
+    m1, m2 = data.draw(st.integers(16, 128)), data.draw(st.integers(8, 256))
+    k1, k2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    packets = []
+    for pid in data.draw(st.lists(U64, min_size=2, max_size=4, unique=True)):
+        h = data.draw(st.integers(1, min(len(universe), 7)))  # below, at and above delta
+        path = tuple(data.draw(st.permutations(sorted(universe)))[:h])
+        seq = [1]
+        for _ in range(h - 1):
+            seq.append(min(delta, seq[-1] + data.draw(st.integers(0, 1))))
+        pkt = Clbf.create(m1, k1, m2, k2, data.draw(U64), pid)
+        pkt.embed_path(path, seq)
+        packets.append((pkt, (path, tuple(seq)) if data.draw(st.booleans()) else None))
+
+    protocol._relay_grid.cache_clear()
+    warm = [recover_provenance(pkt, nodes, delta, rsu=rsu, truth=truth) for pkt, truth in packets]
+    # one grid per fragment count served every pid
+    widths = {min(delta, pkt.hop_count) for pkt, _ in packets}
+    assert protocol._relay_grid.cache_info().hits == len(packets) - len(widths)
+    cold = []
+    for pkt, truth in packets:
+        protocol._relay_grid.cache_clear()
+        cold.append(recover_provenance(pkt, nodes, delta, rsu=rsu, truth=truth))
+    assert warm == cold
+    for out, (pkt, truth) in zip(warm, packets):
+        assert (out.arrangements, out.classification, out.truth_recovered) == two_stage(
+            pkt, nodes, delta, rsu=rsu, truth=truth
+        )
+        assert truth is None or out.truth_recovered is True

@@ -220,6 +220,23 @@ def test_cli_occupancy_walk_past_its_budget_exits_4(capsys):
     assert elapsed < 1.0
 
 
+def test_cli_model_evaluation_past_its_budget_exits_4(capsys):
+    # the walk (20 000 throws over 20 001 cells) fits WALK_CELLS; the array
+    # pass after it, 3 * 10^8 cells times 4 J terms, does not
+    t0 = time.perf_counter()
+    rc = main(["analyze", "--m2", "20000", "--k2", "1", "--hops", "2", "--delta", "3",
+               "--sweep", "k2:1..20000"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == (
+        "resource cap exceeded: the model evaluation needs 300010000 cells of occupancy law times "
+        "4 J terms (+ 20 per cell), 7200240000 term evaluations, past EVAL_TERMS = 268435456\n"
+    )
+    assert elapsed < 1.0
+
+
 def test_cli_closed_stdout_ends_quietly():
     # 20 000 rows, some 560 kB: more than a pipe holds, so the run is still
     # writing when the reader leaves
