@@ -20,20 +20,30 @@ scalar `trial_rng` + `draw_trial_path` only when one of its draws hit a
 Lemire rejection, or when its sequence count reaches 2^32, which numpy
 draws from full 64-bit words.
 
-Hash, embed and probe. Every ordered pair of relays and every admissible
-(position, fragment) cell of the true path is hashed once, by
-`protocol.key_hashes`. The true path's edges and cells are among those
-keys, so their hashes set the filter bits `simulate.trial_packet` embeds
-hop by hop; then every key is probed against its filter through `bloom`'s
-level-by-level probe, the one the receiver runs: slot L is computed only
-for keys still positive after L levels. When a path of two or more hops
+Hash, embed and probe. Each probed key's FNV-1a hash is computed once per
+batch: its state over the bytes no packet id changes is built once per point
+(`protocol._key_prefix`), and a batch folds in only the packet-id bytes
+that vary across its rows. Every ordered pair of relays is probed. The
+true path's edge and cell keys are among the probed keys, so their hashes
+set the filter bits `simulate.trial_packet` embeds hop by hop; then the
+keys go through `bloom`'s level-by-level probe, the one the receiver runs:
+slot L is computed only for keys still positive after L levels, and a key
+stored in the filter is probed in the first pass only. The location
+filter is probed at a row's h true cells and at most h - 1 neighbour
+cells, the other member of {s_{i-1}, s_{i-1} + 1} at each position i > 0.
+When no neighbour is positive the true fragment sequence is the only
+admissible one; only a row with a positive neighbour probes every
+admissible (position, fragment) cell. When a path of two or more hops
 gets exactly its true relay edges back from the edge filter, the edge set
 is a single directed chain, so the only simple path of full length is the
-true one, and counting provenance candidates reduces to a dynamic program,
-saturating at 2, over the location filter's (position, fragment)
+true one, and counting provenance candidates reduces to that certificate,
+or to a dynamic program, saturating at 2, over the widened row's
 membership matrix. Single-hop trials, and trials where the edge filter
 returned anything extra, fall back to the reference recovery on a packet
-that `Clbf.from_bits` rebuilds from the very same filter bits.
+that `Clbf.from_bits` rebuilds from the very same filter bits. The large
+per-batch arrays (key hashes, slot indices, both filters' bits) live in
+`bloom.Scratch` buffers that a pool worker keeps for its whole life, so
+their pages are faulted in once, not once per batch.
 
 Workers. A point's trials split into contiguous ranges, and since no
 result depends on where a batch starts, the ranges can run anywhere and be
@@ -56,8 +66,10 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bloom import GAMMA, _GAMMA, _mix, _probe, _slots, check_geometry, mix64
-from .protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, key_hashes, recover_provenance
+from .bloom import GAMMA, _GAMMA, Scratch, _mix, _probe, _slots, check_geometry, mix64
+from .protocol import (
+    FALSE_POSITIVE, MISS, UNIQUE, Clbf, _fold_pid, _key_prefix, key_hashes, recover_provenance,
+)
 from .segments import BUDGET_BYTES, ResourceCapError, count_valid_sequences
 from .simulate import (
     NoValidPath,
@@ -204,10 +216,16 @@ def _unrank(pre: np.ndarray, g: np.ndarray, u: np.ndarray, h: int) -> np.ndarray
     for l in range(width):
         if not rem.any():
             break
-        P = pre[g, l + 1]
-        top = P[at, rem]
-        j = (P < (top - u)[:, None]).sum(axis=1) - 1
-        u = u - (top - P[at, j + 1])
+        if len(pre) == 1:  # one table for every row: a sorted search
+            P = pre[0, l + 1]
+            top = P[rem]
+            j = np.searchsorted(P, top - u) - 1
+            u = u - (top - P[j + 1])
+        else:
+            P = pre[g, l + 1]
+            top = P[at, rem]
+            j = (P < (top - u)[:, None]).sum(axis=1) - 1
+            u = u - (top - P[at, j + 1])
         b = np.where(rem > 0, rem - j, 0)
         blocks[:, l] = b
         rem = rem - b
@@ -364,17 +382,22 @@ class _PathLaw:
 # hash, embed and probe
 
 
-class _Universe(namedtuple("_Universe", "pair_a pair_b pair_lookup cell_pos cell_seg cell_lookup")):
+class _Universe(
+    namedtuple("_Universe", "edge_prefix pair_lookup cell_prefix cell_pos cell_seg cell_lookup")
+):
     """The keys a point's receiver probes, built once per point.
 
-    Edge keys: every ordered pair (`pair_a`, `pair_b`) of relays, and
-    `pair_lookup`, mapping a * n + b to the pair's column (-1 off the relay
-    pairs). Pairs that touch the receiver (node 0) are left out, because
-    the path search runs over the relays alone, so an edge there can change
-    no recovery. Location keys: the (position, fragment) cells an
+    Edge keys: every ordered pair (a, b) of relays, as `edge_prefix`, the
+    `protocol._key_prefix` state of each pair's key, and `pair_lookup`,
+    mapping a * n + b to the pair's column (-1 off the relay pairs). Pairs
+    that touch the receiver (node 0) are left out, because the path search
+    runs over the relays alone, so an edge there can change no recovery.
+    Location keys: `cell_prefix`, the prefix state of every (node,
+    fragment) key, indexed by node id and fragment - 1; the cells an
     admissible sequence can visit, fragment s at position i only for
-    s <= i + 1, and `cell_lookup`, mapping (position, fragment - 1) to the
-    cell's column (-1 off those cells).
+    s <= i + 1, as `cell_pos` (i) and `cell_seg` (s - 1); and
+    `cell_lookup`, mapping (position, fragment - 1) to the cell's column
+    (-1 off those cells).
     """
 
     __slots__ = ()
@@ -389,62 +412,94 @@ def _universe(setup: SimulationSetup) -> _Universe:
     a, b = a[keep], b[keep]
     pair_lookup = np.full(n * n, -1, dtype=np.int64)
     pair_lookup[(a * _U64(n) + b).astype(np.int64)] = np.arange(len(a))
+    cell_prefix = _key_prefix(
+        np.arange(n, dtype=np.uint64)[:, None], np.arange(1, width + 1, dtype=np.uint64)
+    )
     pos, seg = np.nonzero(np.arange(width)[None, :] <= np.arange(h)[:, None])
     cell_lookup = np.full((h, width), -1, dtype=np.int64)
     cell_lookup[pos, seg] = np.arange(len(pos))
-    return _Universe(a, b, pair_lookup, pos, (seg + 1).astype(np.uint64), cell_lookup)
+    return _Universe(_key_prefix(a, b), pair_lookup, cell_prefix, pos, seg, cell_lookup)
 
 
-def _classify(setup: SimulationSetup, u: _Universe, seeds, pids, paths, seqs) -> np.ndarray:
+def _fill(bits: np.ndarray, keys: np.ndarray, k: int, scratch: Scratch) -> None:
+    """Clear `bits` (rows, m), then set the k slots of each seeded key hash
+    in `keys` (rows, c) in its own row, by flat index."""
+    rows, m = bits.shape
+    bits.fill(False)
+    idx = _slots(keys, m, 0, k, scratch)
+    idx += np.arange(0, rows * m, m)[:, None]
+    bits.ravel()[idx] = True
+
+
+def _classify(
+    setup: SimulationSetup, u: _Universe, seeds, pids, paths, seqs, scratch: Scratch
+) -> np.ndarray:
     """Outcome codes (indices into `_LABELS`) of one batch of drawn trials.
 
     Each row is one trial: its seed and pid, and its path and fragments
     (uint64, RSU-outward). Both filters are filled from the probed keys'
-    own hashes, then probed.
+    own hashes, then probed; a stored key is hashed past the probe's
+    first pass only to fill. Every relay pair is probed. Of the location
+    cells, a row probes its h true cells and, at each position i > 0, the
+    neighbour cell: the other member of {s_{i-1}, s_{i-1} + 1}. With no
+    neighbour positive, the true sequence is the only admissible one, by
+    induction over positions: a sequence that leaves the true one first
+    does so through a neighbour. Only a row with a positive neighbour
+    probes all its admissible cells and counts its sequences.
     """
     n, h, delta = setup.n_nodes, setup.h, setup.num_segments
     width = u.cell_lookup.shape[1]
     batch = len(paths)
-    rows = np.arange(batch)[:, None]
 
     # hash every relay pair; the true edges' hashes fill the edge filter
-    edge = key_hashes(u.pair_a, u.pair_b, pids[:, None])
+    pairs = len(u.edge_prefix)
+    edge = _fold_pid(u.edge_prefix, pids[:, None], scratch.take("keys", (batch, pairs)))
     edge ^= _mix(seeds + _GAMMA)[:, None]
     true_pos = u.pair_lookup[(paths[:, 1:] * _U64(n) + paths[:, :-1]).astype(np.int64)]
     if not (true_pos >= 0).all():
         raise AssertionError("relay path holds a self-edge")
-    bits1 = np.zeros((batch, setup.m1), dtype=bool)
-    bits1[rows[:, :, None], _slots(edge[rows, true_pos], setup.m1, 0, setup.k1)] = True
-    edge_member = _probe(bits1, edge, setup.k1)
-    del edge
-    if not edge_member[rows, true_pos].all():
+    bits1 = scratch.take("bits1", (batch, setup.m1), bool)
+    _fill(bits1, np.take_along_axis(edge, true_pos, axis=1), setup.k1, scratch)
+    true_pos += np.arange(batch)[:, None] * pairs  # flat, row by row
+    edge_member = _probe(bits1, edge, setup.k1, scratch, stored=true_pos.ravel())
+    if not edge_member.ravel()[true_pos].all():
         raise AssertionError("edge filter dropped a stored edge")
     # one hop has no edge to pin the path down: every node is a candidate
     clean = (edge_member.sum(axis=1) == h - 1) & (h >= 2)
 
-    # hash the admissible (position, fragment) cells of the true path; the
-    # true cells' hashes fill the location filter
-    loc = key_hashes(paths[:, u.cell_pos], u.cell_seg, pids[:, None])
-    loc ^= _mix(seeds + _U64(1) + _GAMMA)[:, None]
+    # the true cells fill the location filter, then are probed with their neighbours
     frag = (seqs - _U64(1)).astype(np.int64)
     true_cells = u.cell_lookup[np.arange(h), np.minimum(frag, width - 1)]
     if not ((true_cells >= 0) & (frag < width)).all():
         raise AssertionError("a true cell lies outside the probed cells")
-    bits2 = np.zeros((batch, setup.m2), dtype=bool)
-    bits2[rows[:, :, None], _slots(loc[rows, true_cells], setup.m2, 0, setup.k2)] = True
-    loc_member = _probe(bits2, loc, setup.k2)
-    del loc
-    if not loc_member[rows, true_cells].all():
+    near = 2 * frag[:, :-1] + 1 - frag[:, 1:]  # the other of {s_{i-1}, s_{i-1} + 1}, 0-based
+    tag = _mix(seeds + _U64(1) + _GAMMA)[:, None]
+    cells = np.concatenate([frag, np.minimum(near, width - 1)], axis=1)
+    loc = _fold_pid(u.cell_prefix[paths[:, np.r_[0:h, 1:h]], cells], pids[:, None])
+    loc ^= tag
+    bits2 = scratch.take("bits2", (batch, setup.m2), bool)
+    _fill(bits2, loc[:, :h], setup.k2, scratch)
+    stored = (np.arange(batch)[:, None] * loc.shape[1] + np.arange(h)).ravel()
+    loc_member = _probe(bits2, loc, setup.k2, scratch, stored)
+    if not loc_member[:, :h].all():
         raise AssertionError("location filter dropped a stored pair")
-    reach = np.zeros((batch, h, width), dtype=bool)
-    reach[:, u.cell_pos, u.cell_seg - _U64(1)] = loc_member
+    wide = np.flatnonzero((loc_member[:, h:] & (near < width)).any(axis=1))
 
-    # admissible-sequence count over the membership matrix, capped at 2
-    cur = np.zeros((batch, width + 1), dtype=np.int64)
-    cur[:, 1] = reach[:, 0, 0]
-    for i in range(1, h):
-        cur[:, 1:] = np.minimum(reach[:, i, :] * (cur[:, 1:] + cur[:, :-1]), 2)
-    arrangements = cur.sum(axis=1)
+    # admissible-sequence count, capped at 2, where a neighbour is positive
+    arrangements = np.ones(batch, dtype=np.int64)
+    if len(wide):
+        keys = _fold_pid(u.cell_prefix[paths[wide][:, u.cell_pos], u.cell_seg], pids[wide, None])
+        keys ^= tag[wide]
+        stored = true_cells[wide] + np.arange(len(wide))[:, None] * keys.shape[1]
+        reach = np.zeros((len(wide), h, width), dtype=bool)
+        reach[:, u.cell_pos, u.cell_seg] = _probe(
+            bits2[wide], keys, setup.k2, stored=stored.ravel()
+        )
+        cur = np.zeros((len(wide), width + 1), dtype=np.uint8)
+        cur[:, 1] = reach[:, 0, 0]
+        for i in range(1, h):
+            cur[:, 1:] = np.minimum(reach[:, i, :] * (cur[:, 1:] + cur[:, :-1]), 2)
+        arrangements[wide] = cur.sum(axis=1)
     if not (arrangements[clean] >= 1).all():
         raise AssertionError("location filter lost the true arrangement")
 
@@ -469,11 +524,17 @@ def _classify(setup: SimulationSetup, u: _Universe, seeds, pids, paths, seqs) ->
 
 
 def _run(
-    setup: SimulationSetup, start: int, stop: int, base_seed: int, point_tag: int
+    setup: SimulationSetup, start: int, stop: int, base_seed: int, point_tag: int,
+    scratch: Optional[Scratch] = None,
 ) -> np.ndarray:
-    """Outcome codes (indices into `_LABELS`) of trials start..stop-1."""
+    """Outcome codes (indices into `_LABELS`) of trials start..stop-1.
+
+    ``scratch`` holds the large per-batch arrays; without one, the call
+    makes its own and lets it go on return.
+    """
     law = _PathLaw(setup)
     universe = _universe(setup)
+    scratch = Scratch() if scratch is None else scratch
     codes = np.full(stop - start, _LABELS.index(SKIPPED))
     for t0 in range(start, stop, law.batch):
         t = np.arange(t0, min(t0 + law.batch, stop), dtype=np.uint64)
@@ -482,7 +543,7 @@ def _run(
         if drawn.any():
             codes[t0 - start + np.flatnonzero(drawn)] = _classify(
                 setup, universe, seeds[drawn], (_U64(point_tag << 32) | t)[drawn],
-                paths[drawn].astype(np.uint64), seqs[drawn].astype(np.uint64),
+                paths[drawn].astype(np.uint64), seqs[drawn].astype(np.uint64), scratch,
             )
     return codes
 
@@ -496,6 +557,9 @@ def _run(
 
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_pid = 0  # the process that built `_pool`; a forked child never reuses it
+# a pool worker's buffers, kept across every range it runs; a process that
+# only runs jobs inline never makes one
+_worker_scratch: Optional[Scratch] = None
 
 
 def _cpu_count() -> int:
@@ -512,6 +576,14 @@ def _ranges(trials: int, workers: int) -> list[tuple[int, int]]:
     """A point's contiguous trial ranges: one per worker, each at least a batch."""
     size = max(BATCH, -(-trials // workers))
     return [(a, min(a + size, trials)) for a in range(0, max(trials, 1), size)]
+
+
+def _run_pooled(*args) -> np.ndarray:
+    """`_run` in a pool worker, on the worker's own scratch buffers."""
+    global _worker_scratch
+    if _worker_scratch is None:
+        _worker_scratch = Scratch()
+    return _run(*args, scratch=_worker_scratch)
 
 
 def _drop_pool() -> None:
@@ -535,7 +607,7 @@ def _submit(workers: int, *args) -> Future:
     global _pool, _pool_pid
     if _pool is not None and _pool_pid == os.getpid():
         try:
-            return _pool.submit(_run, *args)
+            return _pool.submit(_run_pooled, *args)
         except BrokenProcessPool:
             _drop_pool()
     if _pool_pid != os.getpid():
@@ -544,7 +616,7 @@ def _submit(workers: int, *args) -> Future:
         atexit.register(_drop_pool)
     _pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     _pool_pid = os.getpid()
-    return _pool.submit(_run, *args)
+    return _pool.submit(_run_pooled, *args)
 
 
 def map_point_codes(jobs: Sequence[tuple]) -> Iterator[np.ndarray]:
@@ -564,12 +636,19 @@ def map_point_codes(jobs: Sequence[tuple]) -> Iterator[np.ndarray]:
     workers = _cpu_count()
     spans = [_ranges(job[1], workers) for job in jobs]
     if workers < 2 or sum(map(len, spans)) < 2:
-        return (_run(setup, 0, trials, seed, tag) for setup, trials, seed, tag in jobs)
+        return _inline(jobs)
     futures = [
         [_submit(workers, setup, a, b, seed, tag) for a, b in span]
         for (setup, _, seed, tag), span in zip(jobs, spans)
     ]
     return _gather(futures)
+
+
+def _inline(jobs: list[tuple]) -> Iterator[np.ndarray]:
+    """Each job's codes, run here in turn on buffers that last the iteration."""
+    scratch = Scratch()
+    for setup, trials, base_seed, point_tag in jobs:
+        yield _run(setup, 0, trials, base_seed, point_tag, scratch)
 
 
 def _gather(futures: list[list[Future]]) -> Iterator[np.ndarray]:
@@ -629,13 +708,30 @@ def occupancy_counts(
     derive_trial_seed(base_seed, 0, 0)  # the base seed must fit a u64
     block = _rows_within(8 * h * k2, 4096)
     out = np.empty(trials, dtype=np.int64)
-    node_axis = np.arange(h, dtype=np.uint64)[None, :]
     for t0 in range(0, trials, block):
         t1 = min(t0 + block, trials)
-        t_arr = np.arange(t0, t1, dtype=np.uint64)
-        tags = _mix(_trial_seeds(base_seed, 0, t_arr) + _GAMMA)
-        h0 = key_hashes(node_axis, 1, t_arr[:, None])
-        idx = np.sort(_slots(h0 ^ tags[:, None], m2, 0, k2).reshape(t1 - t0, -1), axis=1)
-        # distinct slots of a sorted row: its first one, then every change
-        out[t0:t1] = 1 + (idx[:, 1:] != idx[:, :-1]).sum(axis=1)
+        out[t0:t1] = _occupied(m2, k2, h, base_seed, np.arange(t0, t1, dtype=np.uint64))
     return out
+
+
+def _occupied(m2: int, k2: int, h: int, base_seed: int, trials: np.ndarray) -> np.ndarray:
+    """`occupancy_counts` of one block of trials, all of its arrays freed on return.
+
+    The slots are counted without a row-major copy: offset by row, they
+    sort into one run per row, and a row's count is the changes in its run.
+    """
+    rows = len(trials)
+    tags = _mix(_trial_seeds(base_seed, 0, trials) + _GAMMA)
+    h0 = key_hashes(np.arange(h, dtype=np.uint64), 1, trials[:, None])
+    idx = _slots(h0 ^ tags[:, None], m2, 0, k2)  # (k2, rows, h)
+    idx += np.arange(rows)[:, None] * m2  # row r's slots in [r * m2, (r + 1) * m2)
+    flat = idx.ravel()
+    if rows * m2 <= 1 << 31:
+        flat = flat.astype(np.int32)  # half the bytes, and a faster sort
+    flat.sort()
+    # a slot counts where it differs from the one before; a row's first
+    # always does, as rows never share a value
+    new = np.empty(flat.size, dtype=bool)
+    new[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    return new.reshape(rows, -1).sum(axis=1)

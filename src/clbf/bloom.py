@@ -23,13 +23,16 @@ occupied-bit distribution on small filters (two hashes of one key can then
 never land on the same bit).
 
 The scheme's only vectorized form lives here too: FNV-1a over columns of
-key bytes, the seeded slot of every level, and a probe that tests arrays of
-key hashes level by level, computing slot L only for the keys still
-positive after L levels. The receiver (`BloomFilter.contains_hashes`) and
-the simulation engine both use it; a property test keeps it equal to the
-scalar `contains` key by key. The receiver unpacks its filter to one byte
-per bit for the probe, within `segments.BUDGET_BYTES`. The byte columns of
-the protocol's keys are laid out by one function, `protocol.key_hashes`.
+key bytes, the seeded slots of every level (levels first: row L holds slot
+L of every key), and a probe that tests arrays of key hashes level by
+level, computing slot L only for the keys still positive after L levels.
+A caller that probes batch after batch can hand them a `Scratch`, whose
+buffers they reuse for their large arrays. The receiver
+(`BloomFilter.contains_hashes`) and the simulation engine both use the
+probe; a property test keeps it equal to the scalar `contains` key by
+key. The receiver unpacks its filter to one byte per bit for the probe,
+within `segments.BUDGET_BYTES`. The byte columns of the protocol's keys
+are laid out by one function, `protocol.key_hashes`.
 
 A filter has no wire image of its own: its ceil(m / 8) bytes of bits,
 packed LSB-first (`raw_bits`, `load_bits`), travel inside the packet image
@@ -37,6 +40,8 @@ that `protocol` describes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -123,9 +128,39 @@ def hash_indices(key: bytes, m: int, k: int, seed: int) -> list[int]:
 # done on it
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """`mix64` of a fresh array, computed in place with one temporary."""
-    t = x >> _U64(30)
+class Scratch:
+    """Named buffers that one process reuses from call to call.
+
+    `take` hands out an uninitialised array that views the named buffer,
+    grown when too small and never shrunk, so a loop that makes arrays of
+    similar sizes faults their pages in once instead of on every pass. Two
+    arrays alive at once need two names. A caller writes every element it
+    reads: no value carries over from one `take` to the next.
+    """
+
+    __slots__ = ("_bufs",)
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size, dtype=np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
+
+
+def _take(scratch: Scratch | None, name: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
+    """`scratch.take`, or a fresh array when there is no scratch."""
+    return np.empty(shape, dtype) if scratch is None else scratch.take(name, shape, dtype)
+
+
+def _mix(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """`mix64` of array ``x``, computed in place; ``t`` is a temporary of
+    x's shape (a fresh one when None)."""
+    t = np.right_shift(x, _U64(30), out=t)
     x ^= t
     x *= _A
     x ^= np.right_shift(x, _U64(27), out=t)
@@ -134,14 +169,15 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fnv(terms, acc=None) -> np.ndarray:
+def _fnv(terms, acc=None, out: np.ndarray | None = None) -> np.ndarray:
     """`fnv1a64` state after key bytes ``terms``, continued from ``acc``.
 
     Each term is one key byte: a scalar or an array. ``acc`` is an FNV-1a
     state (the offset basis when None) and is never written to. The state
     only grows to the broadcast shape of the terms seen so far, so bytes
-    shared along an axis are hashed once. A zero byte costs no XOR, so a
-    run of them is one multiply by the prime's power (mod 2^64).
+    shared along an axis are hashed once; once that shape is ``out``'s,
+    the state lives in ``out``. A zero byte costs no XOR, so a run of them
+    is one multiply by the prime's power (mod 2^64).
     """
     acc = np.array(_OFFSET if acc is None else acc)
     power = 1  # the prime's power owed by the zero bytes since the last XOR
@@ -149,8 +185,10 @@ def _fnv(terms, acc=None) -> np.ndarray:
         if isinstance(t, np.ndarray) or t:
             if power != 1:
                 acc *= _U64(power)
-            if isinstance(t, np.ndarray) and np.broadcast(acc, t).shape != acc.shape:
-                acc = acc ^ t
+            grown = isinstance(t, np.ndarray) and np.broadcast(acc, t).shape
+            if grown and grown != acc.shape:
+                into = out if out is not None and out.shape == grown else None
+                acc = np.bitwise_xor(acc, t, out=into)
             else:
                 acc ^= t
             power = FNV_PRIME
@@ -161,54 +199,98 @@ def _fnv(terms, acc=None) -> np.ndarray:
     return acc
 
 
-def _slots(base: np.ndarray, m: int, first: int, stop: int) -> np.ndarray:
+def _slots(
+    base: np.ndarray, m: int, first: int, stop: int, scratch: Scratch | None = None
+) -> np.ndarray:
     """Slots first..stop-1 of seeded key hashes `base` (= h0 ^ seed tag) in an
-    m-bit filter, on a last axis; `hash_indices` for first=0, stop=k."""
+    m-bit filter, levels first: out[j] is slot first + j of every key;
+    `hash_indices` for first=0, stop=k. With a `scratch`, the result and
+    `_mix`'s temporary are its "slots" and "mix" buffers."""
+    shape = (stop - first, *np.shape(base))
     levels = np.arange(first + 1, stop + 1, dtype=np.uint64) * _GAMMA  # (L + 1) * GAMMA mod 2^64
-    x = _mix(base[..., None] ^ levels)
-    m = _U64(m)
-    q = x // m  # numpy divides by a scalar through libdivide; np.remainder does not
-    q *= m
-    x -= q
+    levels = levels.reshape((-1,) + (1,) * np.ndim(base))
+    x = np.bitwise_xor(base, levels, out=_take(scratch, "slots", shape))
+    t = _take(scratch, "mix", shape)
+    _mix(x, t)
+    if m & (m - 1):
+        q = np.floor_divide(x, _U64(m), out=t)  # through libdivide; np.remainder is not
+        q *= _U64(m)
+        x -= q
+    else:
+        x &= _U64(m - 1)
     return x.view(np.int64)
 
 
-# Slots hashed per probe pass. A pass over few live keys hashes several
-# levels at once: below this many slots a pass costs more in per-call
-# overhead than the slots of keys that an earlier level would have dropped.
+# Slots that one probe pass costs in fixed overhead. A pass hashes as many
+# levels as fit this many slots (at least one), and the probe finishes in
+# one pass once the keys the next level would drop, times the levels they
+# would skip, come to fewer slots than this: past that point a compaction
+# saves less than the pass it takes.
 _PASS_SLOTS = 4096
 
 
-def _probe(bits: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+def _probe(
+    bits: np.ndarray,
+    keys: np.ndarray,
+    k: int,
+    scratch: Scratch | None = None,
+    stored: np.ndarray | None = None,
+) -> np.ndarray:
     """Filter membership of seeded key hashes (h0 ^ seed tag), level by level.
 
     bits: (rows, m) bool, one filter per row; keys: (rows, ...). A pass
-    hashes the next levels only for the keys still positive, and as many
-    levels as fit `_PASS_SLOTS` (at least one), so no (keys, k) index array
-    exists for many keys and a sparse filter costs about one level.
+    hashes the next levels only for the keys still positive, so no
+    (k, keys) index array exists for many keys and a sparse filter costs
+    about one level. The first pass covers as many levels as fit
+    `_PASS_SLOTS`; a later one is sized by the survival rate of the pass
+    before it (see `_PASS_SLOTS`). ``stored`` holds flat indices of keys
+    the caller put in the filter: they are probed in the first pass only
+    and keep its answer, so later passes hash only keys of unknown fate.
+    With a `scratch`, the first pass, the one over every key, hashes into
+    its buffers.
     """
     rows, m = bits.shape
     flat = bits.ravel()
     per_row = keys[0].size
     keys = keys.reshape(rows, per_row)
     stop = min(k, max(1, _PASS_SLOTS // max(keys.size, 1)))
-    idx = _slots(keys, m, 0, stop)
+    idx = _slots(keys, m, 0, stop, scratch)
     if rows > 1:
-        idx += (np.arange(rows) * m)[:, None, None]
-    hit = flat[idx].all(axis=-1)
+        idx += np.arange(0, rows * m, m)[:, None]
+    hit = _gather_all(flat, idx)
     if stop == k:
         return hit
+    hit = hit.ravel()
+    tried, levels = keys.size, stop  # keys of unknown fate in the last pass, its levels
+    if stored is not None:
+        known = hit[stored]
+        hit[stored] = False
+        tried -= len(stored)
     live = np.flatnonzero(hit)
     keys = keys.ravel()
     while stop < k and len(live):
-        level, stop = stop, min(k, stop + max(1, _PASS_SLOTS // len(live)))
+        level = stop
+        survival = (len(live) / tried) ** (1 / levels)
+        if len(live) * (1 - survival) * (k - level - 1) < _PASS_SLOTS:
+            stop = k
+        else:
+            stop = min(k, stop + max(1, _PASS_SLOTS // len(live)))
         idx = _slots(keys[live], m, level, stop)
         if rows > 1:
-            idx += (live // per_row * m)[:, None]
-        live = live[flat[idx].all(axis=-1)]
+            idx += live // per_row * m
+        tried, levels = len(live), stop - level
+        live = live[_gather_all(flat, idx)]
     out = np.zeros(rows * per_row, dtype=bool)
     out[live] = True
+    if stored is not None:
+        out[stored] = known
     return out.reshape(rows, per_row)
+
+
+def _gather_all(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Whether every level of idx (levels first) indexes a set bit of `flat`."""
+    got = flat[idx]
+    return got[0] if len(got) == 1 else got.all(axis=0)
 
 
 def check_geometry(m: int, k: int) -> None:

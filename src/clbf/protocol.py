@@ -250,12 +250,38 @@ def _key_prefix(first, second) -> np.ndarray:
     return _fnv(fields + [8, 0])
 
 
-def _fold_pid(prefix: np.ndarray, pid) -> np.ndarray:
+def _pid_bytes(pid) -> list:
+    """The pid's 8 key bytes, little-endian. An int gives range-checked
+    bytes. An unsigned array gives an array for each byte that varies and an
+    int for each byte that every pid shares: every byte above the highest
+    bit where its smallest and largest pids differ."""
+    if isinstance(pid, int) or np.size(pid) == 0 or np.asarray(pid).dtype.kind != "u":
+        return _field_bytes(pid, 8, "pid")[2:]
+    lo = int(pid.min())
+    varying = ((lo ^ int(pid.max())).bit_length() + 7) // 8
+    return [
+        (pid >> np.uint64(8 * j)) & np.uint64(0xFF) if j < varying else lo >> 8 * j & 0xFF
+        for j in range(8)
+    ]
+
+
+def _fold_pid(prefix: np.ndarray, pid, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The keys' hashes: `_key_prefix` states continued over the pid's 8 bytes.
 
-    ``prefix`` is read, never written.
+    Only the pid bytes that vary cost a pass (`_pid_bytes`). The result has
+    the broadcast shape of ``prefix`` and ``pid`` even where every byte is
+    shared, and is written to ``out`` when given. ``prefix`` is read, never
+    written.
     """
-    return _fnv(_field_bytes(pid, 8, "pid")[2:], prefix)
+    acc = _fnv(_pid_bytes(pid), prefix, out)
+    if out is None and isinstance(pid, int):
+        return acc
+    shape = np.broadcast(prefix, pid).shape
+    if acc.shape == shape and (out is None or acc is out):
+        return acc
+    full = np.empty(shape, dtype=np.uint64) if out is None else out
+    full[...] = acc
+    return full
 
 
 def key_hashes(first, second, pid) -> np.ndarray:
@@ -269,9 +295,7 @@ def key_hashes(first, second, pid) -> np.ndarray:
     `_fold_pid`, so a receiver that keeps the prefix of a fixed key grid
     pays only the pid's bytes per packet.
     """
-    out = _fold_pid(_key_prefix(first, second), pid)
-    shape = np.broadcast_shapes(np.shape(first), np.shape(second), np.shape(pid))
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    return _fold_pid(_key_prefix(first, second), pid)
 
 
 def recover_edges(clbf: Clbf, nodes: Sequence[int]) -> set[tuple[int, int]]:

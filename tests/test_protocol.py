@@ -707,3 +707,30 @@ def test_decoding_with_a_cold_key_grid_equals_decoding_with_a_warm_one(data):
             pkt, nodes, delta, rsu=rsu, truth=truth
         )
         assert truth is None or out.truth_recovered is True
+
+
+def test_pid_fold_xors_only_the_varying_bytes_and_keeps_the_shape():
+    first = np.array([1, 300, 65535], dtype=np.uint64)[:, None]
+    second = np.array([2, 7], dtype=np.uint64)
+    cases = [
+        ([0x0102030405060708] * 3, 0),  # every byte shared: all fold to ints
+        ([0, 0], 0),  # zero bytes only
+        ([2**64 - 1], 0),  # one pid
+        ([5 << 32, 5 << 32 | 1, 5 << 32 | 255], 1),  # the trial's low byte varies
+        ([7 << 32 | 255, 7 << 32 | 256], 2),  # the low byte and the one above it
+        ([1 << 56, 255 << 56 | 1], 8),  # the top byte varies: no byte is shared
+    ]
+    prefix = protocol._key_prefix(first, second)
+    for pids, varying in cases:
+        pid = np.array(pids, dtype=np.uint64)
+        assert sum(isinstance(b, np.ndarray) for b in protocol._pid_bytes(pid)) == varying
+        pid = pid.reshape(-1, 1, 1)
+        want = [
+            [[fnv1a64(edge_key(a, b, p)) for b in (2, 7)] for a in (1, 300, 65535)] for p in pids
+        ]
+        got = key_hashes(first, second, pid)
+        assert got.shape == (len(pids), 3, 2) and got.tolist() == want
+        folded = protocol._fold_pid(prefix, pid)
+        assert folded.shape == (len(pids), 3, 2) and folded.tolist() == want
+        out = np.zeros((len(pids), 3, 2), dtype=np.uint64)
+        assert protocol._fold_pid(prefix, pid, out) is out and out.tolist() == want

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from clbf import _batch, bloom
 from clbf.bloom import ParameterError, fnv1a64, mix64, _seed_tag
-from clbf.protocol import FALSE_POSITIVE, MISS, UNIQUE, Clbf, edge_key, key_hashes, location_key
+from clbf.protocol import (
+    FALSE_POSITIVE, MISS, UNIQUE, Clbf, edge_key, key_hashes, location_key, recover_provenance,
+)
 from clbf.scenario import PRESETS, load_preset
 from clbf.segments import ResourceCapError, SegmentDictionary, enumerate_valid_sequences, is_valid_sequence
 from clbf.simulate import (
@@ -273,8 +275,8 @@ def test_batch_slot_indices_match_the_scalar_hash():
     seed = 991
     base = np.array([h0 ^ _seed_tag(seed)], dtype=np.uint64)
     idx = bloom._slots(base, m=97, first=0, stop=5)
-    assert idx[0].tolist() == bloom.hash_indices(edge_key(1, 2, 3), 97, 5, seed)
-    assert bloom._slots(base, m=97, first=2, stop=5)[0].tolist() == idx[0, 2:].tolist()
+    assert idx[:, 0].tolist() == bloom.hash_indices(edge_key(1, 2, 3), 97, 5, seed)
+    assert bloom._slots(base, m=97, first=2, stop=5)[:, 0].tolist() == idx[2:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +515,113 @@ def test_batch_arrangement_count_saturates():
     }
 
 
+def seed_tags(seeds):
+    return np.array([_seed_tag(int(s)) for s in seeds], dtype=np.uint64)
+
+
+def full_cell_codes(setup, seeds, pids, paths, seqs):
+    """The engine's outcome codes with every admissible location cell probed
+    and every admissible sequence counted (capped at 2): the location
+    certificate's oracle. Also returns the rows whose neighbour cell (the
+    other of {s_{i-1}, s_{i-1} + 1} at some position i) is positive."""
+    n, h, delta = setup.n_nodes, setup.h, setup.num_segments
+    u = _batch._universe(setup)
+    width = u.cell_lookup.shape[1]
+    batch = len(paths)
+    at = np.arange(batch)[:, None]
+
+    def filled(keys, m, k):
+        bits = np.zeros((batch, m), dtype=bool)
+        bits[at, bloom._slots(keys, m, 0, k).transpose(1, 0, 2).reshape(batch, -1)] = True
+        return bits
+
+    relays = np.arange(1, n, dtype=np.uint64)
+    a, b = np.repeat(relays, n - 1), np.tile(relays, n - 1)
+    a, b = a[a != b], b[a != b]
+    edge = key_hashes(a, b, pids[:, None]) ^ seed_tags(seeds)[:, None]
+    true_pos = u.pair_lookup[(paths[:, 1:] * np.uint64(n) + paths[:, :-1]).astype(np.int64)]
+    bits1 = filled(edge[at, true_pos], setup.m1, setup.k1)
+    clean = (bloom._probe(bits1, edge, setup.k1).sum(axis=1) == h - 1) & (h >= 2)
+
+    cell_seg = (u.cell_seg + 1).astype(np.uint64)
+    loc = key_hashes(paths[:, u.cell_pos], cell_seg, pids[:, None])
+    loc ^= seed_tags(seeds + np.uint64(1))[:, None]
+    frag = seqs.astype(np.int64) - 1
+    bits2 = filled(loc[at, u.cell_lookup[np.arange(h), frag]], setup.m2, setup.k2)
+    reach = np.zeros((batch, h, width), dtype=bool)
+    reach[:, u.cell_pos, u.cell_seg] = bloom._probe(bits2, loc, setup.k2)
+    cur = np.zeros((batch, width + 1), dtype=np.int64)
+    cur[:, 1] = reach[:, 0, 0]
+    for i in range(1, h):
+        cur[:, 1:] = np.minimum(reach[:, i, :] * (cur[:, 1:] + cur[:, :-1]), 2)
+    codes = np.where(cur.sum(axis=1) > 1, 1, 0)
+    for r in np.flatnonzero(~clean):
+        pkt = Clbf.from_bits(
+            setup.m1, setup.k1, setup.m2, setup.k2, int(seeds[r]), int(pids[r]), h,
+            np.packbits(bits1[r], bitorder="little").tobytes(),
+            np.packbits(bits2[r], bitorder="little").tobytes(),
+        )
+        truth = (tuple(map(int, paths[r])), tuple(map(int, seqs[r])))
+        label = recover_provenance(pkt, list(range(n)), delta, rsu=0, truth=truth).classification
+        codes[r] = _batch._LABELS.index(label)
+    near = 2 * frag[:, :-1] + 1 - frag[:, 1:]
+    hit = np.take_along_axis(reach[:, 1:], np.minimum(near, width - 1)[:, :, None], axis=2)
+    return codes, (hit[:, :, 0] & (near < width)).any(axis=1)
+
+
+def test_location_certificate_matches_the_full_cell_oracle():
+    # small, crowded location filters, so that both a row whose neighbours
+    # are all negative and a row that must count its sequences come up
+    certified, widened = [], []
+    probe = _batch._probe
+    scratch = bloom.Scratch()  # one for every example, as a worker keeps it
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        policies = ["free", "random", "balanced_prefix", "uniform_per_segment"]
+        policy = data.draw(st.sampled_from(policies))
+        delta = data.draw(st.sampled_from([1, 2]) | st.integers(1, 5))
+        h = data.draw(st.sampled_from([1, 2]) | st.integers(1, 7))
+        if policy == "uniform_per_segment":
+            per = data.draw(st.integers(1 + (delta == 1), 4))
+            n, placement = per * delta, PlacementSpec(policy, per_segment=per)
+            h = min(h, n - 1)
+        else:
+            n, placement = data.draw(st.integers(h + 1, h + 4)), PlacementSpec(policy)
+        m2 = data.draw(st.integers(2, 64))
+        setup = SimulationSetup(
+            n_nodes=n, num_segments=delta, road_length_m=100.0 * delta, placement=placement, h=h,
+            m1=8 * data.draw(st.integers(8, 32)), k1=data.draw(st.integers(1, 4)),
+            m2=m2, k2=data.draw(st.integers(max(1, m2 // 4), m2)),
+        )
+        trials = np.arange(64, dtype=np.uint64)
+        seeds = _batch._trial_seeds(data.draw(st.integers(0, 2**32 - 1)), 3, trials)
+        drawn, paths, seqs = _batch._PathLaw(setup).sample(seeds)
+        args = (
+            seeds[drawn], (np.uint64(3 << 32) | trials)[drawn],
+            paths[drawn].astype(np.uint64), seqs[drawn].astype(np.uint64),
+        )
+        if not drawn.any():
+            return
+        calls = []
+        _batch._probe = lambda bits, *a, **kw: calls.append(len(bits)) or probe(bits, *a, **kw)
+        try:
+            codes = _batch._classify(setup, _batch._universe(setup), *args, scratch)
+        finally:
+            _batch._probe = probe
+        want, positive_neighbour = full_cell_codes(setup, *args)
+        assert codes.tolist() == want.tolist()
+        # edge probe, certificate probe, then the widened rows' probe if any
+        wide = calls[2] if len(calls) == 3 else 0
+        assert wide == positive_neighbour.sum()
+        certified.append(int(drawn.sum()) - wide)
+        widened.append(wide)
+
+    check()
+    assert sum(certified) > 0 and sum(widened) > 0
+
+
 def assert_point_matches_reference(setup, trials, seed):
     labels = reference_labels(setup, trials, seed, 0)
     result = run_point(setup, trials, base_seed=seed)
@@ -679,6 +788,23 @@ def test_sample_occupancy_refuses_a_row_past_the_batch_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # refused before any slot array exists
+
+
+def test_sample_occupancy_frees_each_block_before_the_next():
+    # 8 192 rows of 10 slots make two full blocks of 4 096 rows, 320 KiB of
+    # slots each: a block's slots and the hash's temporary fit the bound only
+    # if the first block's arrays are gone before the second is hashed
+    sample_occupancy(2**32 - 1, 10, 1, 1)  # the engine's module is imported
+    tracemalloc.start()
+    try:
+        counts = sample_occupancy(2**32 - 1, 10, 1, 8192, base_seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for t in (0, 4095, 4096, 8191):  # the rows on each side of the block boundary
+        slots = bloom.hash_indices(location_key(0, 1, t), 2**32 - 1, 10, derive_trial_seed(5, 0, t))
+        assert counts[t] == len(set(slots))
 
 
 # SHA-256 of the benchmark probe's counts, (m2, k2, h, trials) = (200, 8, 15, 2048)

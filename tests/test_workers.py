@@ -1,6 +1,7 @@
 """The worker pool: pooled points equal one inline run, errors travel, the pool is lazy."""
 
 import concurrent.futures
+import gc
 import os
 import re
 import signal
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clbf import _batch, cli, protocol
+from clbf import _batch, bloom, cli, protocol
 from clbf.bloom import ParameterError
 from clbf.cli import main
 from clbf.scenario import _PRESET_TEXT, PRESETS, load_preset, load_scenario
@@ -266,3 +267,34 @@ def test_one_batch_makes_no_pool_call(monkeypatch):
     assert run_point(setup, _batch.BATCH, base_seed=4).trials == _batch.BATCH
     assert len(_batch.run_point_classifications(setup, 8, 4, 0)) == 8
     assert run_sweep(setup, "k2", [2], trials=_batch.BATCH, base_seed=4)[0].result.trials == 512
+
+
+def test_reused_scratch_carries_nothing_from_one_point_to_the_next():
+    # points of different filter widths, hop counts and batch rows, back to
+    # back on one scratch, in both orders and over poisoned buffers
+    points = [
+        # two batches, of 512 rows and of 188
+        (setup_of(PlacementSpec("free"), 8, 3, 5, m1=512, k1=3, m2=64, k2=6), 700),
+        (setup_of(PlacementSpec("random"), 10, 4, 4, m1=64, k1=2, m2=200, k2=9), 130),
+        (setup_of(PlacementSpec("free"), 6, 2, 2, m1=2048, k1=8, m2=24, k2=12), 40),
+        (setup_of(PlacementSpec("balanced_prefix"), 12, 5, 9, m1=128, k1=4, m2=32, k2=3), 300),
+        (setup_of(PlacementSpec("uniform_per_segment", per_segment=3), 9, 3, 1), 50),  # one hop
+    ]
+    fresh = [_batch._run(setup, 0, trials, 9, tag) for tag, (setup, trials) in enumerate(points)]
+    scratch = bloom.Scratch()
+    for order in (range(len(points)), reversed(range(len(points)))):
+        for tag in order:
+            setup, trials = points[tag]
+            assert np.array_equal(_batch._run(setup, 0, trials, 9, tag, scratch), fresh[tag])
+            for buf in scratch._bufs.values():
+                buf.fill(0xA5)
+
+
+def test_an_inline_run_holds_no_scratch_after_it_returns(monkeypatch):
+    monkeypatch.setattr(_batch, "_cpu_count", lambda: 1)
+    setup = setup_of(PlacementSpec("balanced_prefix"), 9, 5, 6)
+    assert run_point(setup, 1200, base_seed=4).trials == 1200
+    assert run_sweep(setup, "k2", [1, 2], trials=600, base_seed=4)[1].result.trials == 600
+    gc.collect()
+    assert _batch._worker_scratch is None
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, bloom.Scratch)]
