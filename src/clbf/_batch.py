@@ -43,7 +43,11 @@ returned anything extra, fall back to the reference recovery on a packet
 that `Clbf.from_bits` rebuilds from the very same filter bits. The large
 per-batch arrays (key hashes, slot indices, both filters' bits) live in
 `bloom.Scratch` buffers that a pool worker keeps for its whole life, so
-their pages are faulted in once, not once per batch.
+their pages are faulted in once, not once per batch. The buffers keep the
+size of the largest batch the worker has run until the pool is dropped: the
+key hashes, the slots and `_mix`'s temporary can each come near
+BATCH_BYTES, so a worker can hold about three times BATCH_BYTES after one
+large point.
 
 Workers. A point's trials split into contiguous ranges, and since no
 result depends on where a batch starts, the ranges can run anywhere and be
@@ -438,14 +442,20 @@ def _classify(
 
     Each row is one trial: its seed and pid, and its path and fragments
     (uint64, RSU-outward). Both filters are filled from the probed keys'
-    own hashes, then probed; a stored key is hashed past the probe's
-    first pass only to fill. Every relay pair is probed. Of the location
+    own hashes, then probed. Every relay pair is probed. Of the location
     cells, a row probes its h true cells and, at each position i > 0, the
     neighbour cell: the other member of {s_{i-1}, s_{i-1} + 1}. With no
     neighbour positive, the true sequence is the only admissible one, by
     induction over positions: a sequence that leaves the true one first
     does so through a neighbour. Only a row with a positive neighbour
     probes all its admissible cells and counts its sequences.
+
+    A stored key is hashed past the probe's first pass only to fill, so
+    the two stored-key self-checks ("dropped a stored edge", "dropped a
+    stored pair") read only the levels of that first pass: a single level
+    for a batch of 4 096 keys or more. Probing the stored keys at every
+    level as well took about 18% off the throughput of `clbf simulate`
+    over the bundled presets at 256 trials a point.
     """
     n, h, delta = setup.n_nodes, setup.h, setup.num_segments
     width = u.cell_lookup.shape[1]

@@ -221,11 +221,9 @@ def _slots(
     return x.view(np.int64)
 
 
-# Slots that one probe pass costs in fixed overhead. A pass hashes as many
-# levels as fit this many slots (at least one), and the probe finishes in
-# one pass once the keys the next level would drop, times the levels they
-# would skip, come to fewer slots than this: past that point a compaction
-# saves less than the pass it takes.
+# Slots hashed per probe pass. A pass over few live keys hashes several
+# levels at once: below this many slots a pass costs more in per-call
+# overhead than the slots of keys that an earlier level would have dropped.
 _PASS_SLOTS = 4096
 
 
@@ -239,13 +237,13 @@ def _probe(
     """Filter membership of seeded key hashes (h0 ^ seed tag), level by level.
 
     bits: (rows, m) bool, one filter per row; keys: (rows, ...). A pass
-    hashes the next levels only for the keys still positive, so no
-    (k, keys) index array exists for many keys and a sparse filter costs
-    about one level. The first pass covers as many levels as fit
-    `_PASS_SLOTS`; a later one is sized by the survival rate of the pass
-    before it (see `_PASS_SLOTS`). ``stored`` holds flat indices of keys
-    the caller put in the filter: they are probed in the first pass only
-    and keep its answer, so later passes hash only keys of unknown fate.
+    hashes the next levels only for the keys still positive, and as many
+    levels as fit `_PASS_SLOTS` (at least one), so no (k, keys) index array
+    exists for many keys and a sparse filter costs about one level: a pass
+    holds at most max(keys, `_PASS_SLOTS`) slots. ``stored`` holds flat
+    indices of keys the caller put in the filter: they are probed in the
+    first pass only and keep its answer, so later passes hash only keys of
+    unknown fate; a stored key's answer reads only the first pass's levels.
     With a `scratch`, the first pass, the one over every key, hashes into
     its buffers.
     """
@@ -261,24 +259,16 @@ def _probe(
     if stop == k:
         return hit
     hit = hit.ravel()
-    tried, levels = keys.size, stop  # keys of unknown fate in the last pass, its levels
     if stored is not None:
         known = hit[stored]
         hit[stored] = False
-        tried -= len(stored)
     live = np.flatnonzero(hit)
     keys = keys.ravel()
     while stop < k and len(live):
-        level = stop
-        survival = (len(live) / tried) ** (1 / levels)
-        if len(live) * (1 - survival) * (k - level - 1) < _PASS_SLOTS:
-            stop = k
-        else:
-            stop = min(k, stop + max(1, _PASS_SLOTS // len(live)))
+        level, stop = stop, min(k, stop + max(1, _PASS_SLOTS // len(live)))
         idx = _slots(keys[live], m, level, stop)
         if rows > 1:
             idx += live // per_row * m
-        tried, levels = len(live), stop - level
         live = live[_gather_all(flat, idx)]
     out = np.zeros(rows * per_row, dtype=bool)
     out[live] = True

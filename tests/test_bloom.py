@@ -203,3 +203,48 @@ def test_array_probe_matches_scalar_contains(data):
             assert got.tolist() == expected
     finally:
         bloom._PASS_SLOTS = default
+
+
+def test_probe_of_stored_keys_matches_the_full_probe():
+    # a key the caller stored keeps its first-pass answer; every other key
+    # is probed at every level, whatever the pass budget
+    rng = np.random.default_rng(7)
+    rows, per_row, m, k = 6, 40, 256, 9
+    keys = rng.integers(0, 2**64, size=(rows, per_row), dtype=np.uint64)
+    bits = rng.random((rows, m)) < 0.6
+    stored = rng.random((rows, per_row)) < 0.3
+    r, c = np.nonzero(stored)
+    bits[r[None, :], bloom._slots(keys[r, c], m, 0, k)] = True
+    default = bloom._PASS_SLOTS
+    try:
+        for budget in (1, 5, default):
+            bloom._PASS_SLOTS = budget
+            want = bloom._probe(bits, keys, k)
+            assert want[stored].all()
+            got = bloom._probe(bits, keys, k, stored=np.flatnonzero(stored))
+            assert got.tolist() == want.tolist()
+    finally:
+        bloom._PASS_SLOTS = default
+
+
+def test_probe_of_a_saturated_filter_stays_within_its_pass_budget():
+    # every key survives every level of an all-ones filter, so no pass can
+    # shrink: each must still hold at most max(keys, _PASS_SLOTS) slots
+    import tracemalloc
+
+    bf = BloomFilter(4096, 3000)
+    bf.fill()
+    h0 = np.arange(2000, dtype=np.uint64)
+    bits = np.ones((50, 512), dtype=bool)
+    keys = np.arange(50 * 100, dtype=np.uint64).reshape(50, 100)
+    tracemalloc.start()
+    try:
+        assert bf.contains_hashes(h0).all()
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < 1 << 20, peak  # (3000, 2000) int64 slots would be 48 MB
+        tracemalloc.reset_peak()
+        assert bloom._probe(bits, keys, 500).all()
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < 1 << 20, peak  # (500, 5000) int64 slots would be 20 MB
+    finally:
+        tracemalloc.stop()
