@@ -21,9 +21,9 @@ Lemire rejection, or when its sequence count reaches 2^32, which numpy
 draws from full 64-bit words.
 
 Hash, embed and probe. Each probed key's FNV-1a hash is computed once per
-batch: its state over the bytes no packet id changes is built once per point
-(`protocol._key_prefix`), and a batch folds in only the packet-id bytes
-that vary across its rows. Every ordered pair of relays is probed. The
+batch: its state over the bytes no packet id changes is built once per run
+(`protocol._key_grid`, uncached), and a batch folds in only the packet-id
+bytes that vary across its rows. Every ordered pair of relays is probed. The
 true path's edge and cell keys are among the probed keys, so their hashes
 set the filter bits `simulate.trial_packet` embeds hop by hop; then the
 keys go through `bloom`'s level-by-level probe, the one the receiver runs:
@@ -65,14 +65,13 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
-from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .bloom import GAMMA, _GAMMA, Scratch, _mix, _probe, _slots, check_geometry, mix64
 from .protocol import (
-    FALSE_POSITIVE, MISS, UNIQUE, Clbf, _fold_pid, _key_prefix, key_hashes, recover_provenance,
+    FALSE_POSITIVE, MISS, UNIQUE, Clbf, _fold_pid, _key_grid, key_hashes, recover_provenance,
 )
 from .segments import BUDGET_BYTES, ResourceCapError, count_valid_sequences
 from .simulate import (
@@ -386,45 +385,6 @@ class _PathLaw:
 # hash, embed and probe
 
 
-class _Universe(
-    namedtuple("_Universe", "edge_prefix pair_lookup cell_prefix cell_pos cell_seg cell_lookup")
-):
-    """The keys a point's receiver probes, built once per point.
-
-    Edge keys: every ordered pair (a, b) of relays, as `edge_prefix`, the
-    `protocol._key_prefix` state of each pair's key, and `pair_lookup`,
-    mapping a * n + b to the pair's column (-1 off the relay pairs). Pairs
-    that touch the receiver (node 0) are left out, because the path search
-    runs over the relays alone, so an edge there can change no recovery.
-    Location keys: `cell_prefix`, the prefix state of every (node,
-    fragment) key, indexed by node id and fragment - 1; the cells an
-    admissible sequence can visit, fragment s at position i only for
-    s <= i + 1, as `cell_pos` (i) and `cell_seg` (s - 1); and
-    `cell_lookup`, mapping (position, fragment - 1) to the cell's column
-    (-1 off those cells).
-    """
-
-    __slots__ = ()
-
-
-def _universe(setup: SimulationSetup) -> _Universe:
-    n, h = setup.n_nodes, setup.h
-    width = min(setup.num_segments, h)
-    a = np.repeat(np.arange(1, n, dtype=np.uint64), n - 1)
-    b = np.tile(np.arange(1, n, dtype=np.uint64), n - 1)
-    keep = a != b
-    a, b = a[keep], b[keep]
-    pair_lookup = np.full(n * n, -1, dtype=np.int64)
-    pair_lookup[(a * _U64(n) + b).astype(np.int64)] = np.arange(len(a))
-    cell_prefix = _key_prefix(
-        np.arange(n, dtype=np.uint64)[:, None], np.arange(1, width + 1, dtype=np.uint64)
-    )
-    pos, seg = np.nonzero(np.arange(width)[None, :] <= np.arange(h)[:, None])
-    cell_lookup = np.full((h, width), -1, dtype=np.int64)
-    cell_lookup[pos, seg] = np.arange(len(pos))
-    return _Universe(_key_prefix(a, b), pair_lookup, cell_prefix, pos, seg, cell_lookup)
-
-
 def _fill(bits: np.ndarray, keys: np.ndarray, k: int, scratch: Scratch) -> None:
     """Clear `bits` (rows, m), then set the k slots of each seeded key hash
     in `keys` (rows, c) in its own row, by flat index."""
@@ -436,19 +396,22 @@ def _fill(bits: np.ndarray, keys: np.ndarray, k: int, scratch: Scratch) -> None:
 
 
 def _classify(
-    setup: SimulationSetup, u: _Universe, seeds, pids, paths, seqs, scratch: Scratch
+    setup: SimulationSetup, grid: np.ndarray, seeds, pids, paths, seqs, scratch: Scratch
 ) -> np.ndarray:
     """Outcome codes (indices into `_LABELS`) of one batch of drawn trials.
 
     Each row is one trial: its seed and pid, and its path and fragments
-    (uint64, RSU-outward). Both filters are filled from the probed keys'
-    own hashes, then probed. Every relay pair is probed. Of the location
-    cells, a row probes its h true cells and, at each position i > 0, the
-    neighbour cell: the other member of {s_{i-1}, s_{i-1} + 1}. With no
-    neighbour positive, the true sequence is the only admissible one, by
-    induction over positions: a sequence that leaves the true one first
-    does so through a neighbour. Only a row with a positive neighbour
-    probes all its admissible cells and counts its sequences.
+    (uint64, RSU-outward). ``grid`` is the `protocol._key_grid` of relays
+    1..n-1 over fragments 1..min(delta, h): the keys the receiver probes.
+    Both filters are filled from the probed keys' own hashes, then probed.
+    Every ordered relay pair is probed, the grid's edge columns off its
+    diagonal, a-major. Of the location cells, a row probes its h true cells
+    and, at each position i > 0, the neighbour cell: the other member of
+    {s_{i-1}, s_{i-1} + 1}. With no neighbour positive, the true sequence
+    is the only admissible one, by induction over positions: a sequence
+    that leaves the true one first does so through a neighbour. Only a row
+    with a positive neighbour probes all its admissible cells, fragment s
+    at position i for s <= i + 1, and counts its sequences.
 
     A stored key is hashed past the probe's first pass only to fill, so
     the two stored-key self-checks ("dropped a stored edge", "dropped a
@@ -458,16 +421,19 @@ def _classify(
     over the bundled presets at 256 trials a point.
     """
     n, h, delta = setup.n_nodes, setup.h, setup.num_segments
-    width = u.cell_lookup.shape[1]
+    r = n - 1
+    width = grid.shape[1] - r
     batch = len(paths)
 
     # hash every relay pair; the true edges' hashes fill the edge filter
-    pairs = len(u.edge_prefix)
-    edge = _fold_pid(u.edge_prefix, pids[:, None], scratch.take("keys", (batch, pairs)))
+    edge_prefix = grid[:, :r][~np.eye(r, dtype=bool)]
+    pairs = len(edge_prefix)
+    edge = _fold_pid(edge_prefix, pids[:, None], scratch.take("keys", (batch, pairs)))
     edge ^= _mix(seeds + _GAMMA)[:, None]
-    true_pos = u.pair_lookup[(paths[:, 1:] * _U64(n) + paths[:, :-1]).astype(np.int64)]
-    if not (true_pos >= 0).all():
+    a, b = paths[:, 1:].astype(np.int64), paths[:, :-1].astype(np.int64)
+    if not (a != b).all():
         raise AssertionError("relay path holds a self-edge")
+    true_pos = (a - 1) * (r - 1) + (b - 1) - (b > a)  # the column of edge a -> b
     bits1 = scratch.take("bits1", (batch, setup.m1), bool)
     _fill(bits1, np.take_along_axis(edge, true_pos, axis=1), setup.k1, scratch)
     true_pos += np.arange(batch)[:, None] * pairs  # flat, row by row
@@ -478,14 +444,15 @@ def _classify(
     clean = (edge_member.sum(axis=1) == h - 1) & (h >= 2)
 
     # the true cells fill the location filter, then are probed with their neighbours
+    cell_prefix = grid[:, r:]  # row node - 1, column fragment - 1
+    rows = paths - _U64(1)
     frag = (seqs - _U64(1)).astype(np.int64)
-    true_cells = u.cell_lookup[np.arange(h), np.minimum(frag, width - 1)]
-    if not ((true_cells >= 0) & (frag < width)).all():
+    if not (frag <= np.minimum(np.arange(h), width - 1)).all():
         raise AssertionError("a true cell lies outside the probed cells")
     near = 2 * frag[:, :-1] + 1 - frag[:, 1:]  # the other of {s_{i-1}, s_{i-1} + 1}, 0-based
     tag = _mix(seeds + _U64(1) + _GAMMA)[:, None]
     cells = np.concatenate([frag, np.minimum(near, width - 1)], axis=1)
-    loc = _fold_pid(u.cell_prefix[paths[:, np.r_[0:h, 1:h]], cells], pids[:, None])
+    loc = _fold_pid(cell_prefix[rows[:, np.r_[0:h, 1:h]], cells], pids[:, None])
     loc ^= tag
     bits2 = scratch.take("bits2", (batch, setup.m2), bool)
     _fill(bits2, loc[:, :h], setup.k2, scratch)
@@ -498,13 +465,14 @@ def _classify(
     # admissible-sequence count, capped at 2, where a neighbour is positive
     arrangements = np.ones(batch, dtype=np.int64)
     if len(wide):
-        keys = _fold_pid(u.cell_prefix[paths[wide][:, u.cell_pos], u.cell_seg], pids[wide, None])
+        pos, seg = np.nonzero(np.arange(width) <= np.arange(h)[:, None])  # admissible cells
+        keys = _fold_pid(cell_prefix[rows[wide][:, pos], seg], pids[wide, None])
         keys ^= tag[wide]
-        stored = true_cells[wide] + np.arange(len(wide))[:, None] * keys.shape[1]
+        # a true cell's column: its position's first column plus its fragment
+        stored = np.searchsorted(pos, np.arange(h)) + frag[wide]
+        stored += np.arange(len(wide))[:, None] * keys.shape[1]
         reach = np.zeros((len(wide), h, width), dtype=bool)
-        reach[:, u.cell_pos, u.cell_seg] = _probe(
-            bits2[wide], keys, setup.k2, stored=stored.ravel()
-        )
+        reach[:, pos, seg] = _probe(bits2[wide], keys, setup.k2, stored=stored.ravel())
         cur = np.zeros((len(wide), width + 1), dtype=np.uint8)
         cur[:, 1] = reach[:, 0, 0]
         for i in range(1, h):
@@ -543,7 +511,7 @@ def _run(
     makes its own and lets it go on return.
     """
     law = _PathLaw(setup)
-    universe = _universe(setup)
+    grid = _key_grid(range(1, setup.n_nodes), law.width)
     scratch = Scratch() if scratch is None else scratch
     codes = np.full(stop - start, _LABELS.index(SKIPPED))
     for t0 in range(start, stop, law.batch):
@@ -552,7 +520,7 @@ def _run(
         drawn, paths, seqs = law.sample(seeds)
         if drawn.any():
             codes[t0 - start + np.flatnonzero(drawn)] = _classify(
-                setup, universe, seeds[drawn], (_U64(point_tag << 32) | t)[drawn],
+                setup, grid, seeds[drawn], (_U64(point_tag << 32) | t)[drawn],
                 paths[drawn].astype(np.uint64), seqs[drawn].astype(np.uint64), scratch,
             )
     return codes

@@ -78,6 +78,11 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _check_fragment_field(delta: int) -> None:
+    if delta > 0xFFFF:  # past the packet's u16 fragment field
+        raise ValueError(f"delta={delta} exceeds the u16 fragment limit 65535")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Inputs to the false-positive model."""
@@ -95,6 +100,7 @@ class ModelParams:
             raise ValueError(f"h={self.h} exceeds the packet's hop counter ({MAX_HOPS})")
         if self.delta < 1:
             raise ValueError(f"delta={self.delta} must be >= 1")
+        _check_fragment_field(self.delta)
 
     @property
     def false_pool(self) -> int:
@@ -522,6 +528,7 @@ class BackendComparison:
 
 
 def compare_backends(delta: int, h: int) -> BackendComparison:
+    _check_fragment_field(delta)
     return BackendComparison(
         delta=delta,
         h=h,

@@ -13,10 +13,11 @@ Recovery runs entirely on the receiver, in one joint search
 fragment) cell as arrays, probe each filter once, then run one level
 sweep, RSU-outward, over pairs (relay chain, fragment prefix). Packets
 decoded over one node universe share every key byte but the pid's, so
-the hash state before the pid of that key grid is computed once and kept
+the hash state before the pid of that key grid (`_key_grid`, its one
+builder, which the simulation engine calls too) is computed once and kept
 in a small bounded cache (`RELAY_GRIDS` universes, keyed by the distinct
 node ids, the RSU id and the fragment count); a packet then folds in its
-8 pid bytes. The cache holds no packet state.
+8 pid bytes. Only the receiver caches a grid, and never a packet's state.
 Each level extends every pair by one predecessor whose edge into the
 chain and whose location cell are both positive, so a chain that carries
 no fragment sequence dies at the first position it cannot fill. Every
@@ -405,6 +406,18 @@ def recover_locations(
     return level
 
 
+def _key_grid(relays: Sequence[int], width: int) -> np.ndarray:
+    """The `_key_prefix` grid, uncached, of every key probed over ``relays``.
+
+    Row i is relay i: its first r columns pair it, as the first key field,
+    with each relay (edge keys), the next ``width`` with fragments
+    1..width (location keys). No entry depends on a packet.
+    """
+    column = np.array(relays, dtype=np.uint64)
+    fragments = np.arange(1, width + 1, dtype=np.uint64)
+    return _key_prefix(column[:, None], np.concatenate([column, fragments]))
+
+
 # node universes whose key grid the receiver keeps; one serves a roadside
 # unit that decodes over a fixed universe, as every caller here does
 RELAY_GRIDS = 4
@@ -412,17 +425,13 @@ RELAY_GRIDS = 4
 
 @lru_cache(maxsize=RELAY_GRIDS)
 def _relay_grid(ids: tuple[int, ...], rsu: int, width: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The relays of a node universe and the `_key_prefix` grid of its keys.
+    """The relays of a node universe and their `_key_grid`, read-only.
 
     ``ids`` is a `_universe`; the relays are its ids other than ``rsu``.
-    Row i of the read-only grid is relay i: its first r columns pair it with
-    each relay (edge keys), the next ``width`` with fragments 1..width
-    (location keys). No entry depends on a packet.
+    The receiver's cache of grids: only `recover_provenance` calls it.
     """
     relays = tuple(n for n in ids if n != rsu)
-    column = np.array(relays, dtype=np.uint64)
-    fragments = np.arange(1, width + 1, dtype=np.uint64)
-    grid = _key_prefix(column[:, None], np.concatenate([column, fragments]))
+    grid = _key_grid(relays, width)
     grid.flags.writeable = False
     return relays, grid
 
@@ -459,10 +468,10 @@ def recover_provenance(
     arrangement set.
 
     The keys of every ordered relay pair and every cell (relay,
-    1..min(num_segments, hop count)) form the universe's `_relay_grid`,
-    hashed up to the pid once per universe; the packet folds in its pid,
-    and each filter is probed once. A level sweep, RSU-outward, then
-    grows pairs (chain, fragment prefix):
+    1..min(num_segments, hop count)) form the universe's `_key_grid`,
+    hashed up to the pid once per universe and cached (`_relay_grid`);
+    the packet folds in its pid, and each filter is probed once. A level
+    sweep, RSU-outward, then grows pairs (chain, fragment prefix):
     level 0 holds the relays whose (relay, 1) cell is positive, and each
     level extends a pair by a predecessor p not yet on the chain whose
     edge p -> chain[-1] is positive, with a next fragment s in

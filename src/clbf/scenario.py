@@ -26,7 +26,8 @@ ignored a typo would report numbers for the wrong experiment.
 
 Placement grammar: `uniform_per_segment:<c>`, `balanced_prefix`, `random`,
 `free`, or `explicit:<fragment,fragment,...>` (one per vehicle).
-Sweepable parameters: k2, m2, delta.
+Sweepable parameters: k2, m2, delta; a sweep lists at most `SWEEP_VALUES`
+values, checked before any is built.
 
 The bundled presets are campaigns the test suite and the `figures`
 subcommand rely on; `preset_text` returns their INI source so they can be
@@ -96,6 +97,18 @@ def _parse_placement(text: str) -> PlacementSpec:
     return spec
 
 
+# values one sweep may list; each is a point whose model, and under
+# `simulate` whose trials, run in turn
+SWEEP_VALUES = 100_000
+
+
+def _check_sweep_length(name: str, count: int) -> None:
+    if count > SWEEP_VALUES:
+        raise ScenarioError(
+            f"sweep of {name} lists {count} values, past SWEEP_VALUES = {SWEEP_VALUES}"
+        )
+
+
 def parse_sweep_spec(text: str) -> tuple[str, tuple[int, ...]]:
     name, sep, body = text.strip().partition(":")
     name = name.strip()
@@ -109,9 +122,12 @@ def parse_sweep_spec(text: str) -> tuple[str, tuple[int, ...]]:
         lo, hi = _int(lo_s, "sweep bound"), _int(hi_s, "sweep bound")
         if hi < lo:
             raise ScenarioError(f"sweep range {body!r} is empty")
+        _check_sweep_length(name, hi - lo + 1)
         values = tuple(range(lo, hi + 1))
     else:
-        values = tuple(_int(x, "sweep value") for x in body.split(","))
+        raw = body.split(",")
+        _check_sweep_length(name, len(raw))
+        values = tuple(_int(x, "sweep value") for x in raw)
     if not values:
         raise ScenarioError("sweep has no values")
     return name, values

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -464,7 +464,6 @@ def run_sweep(
     trials: int,
     base_seed: int,
     backend: str = "closed_form",
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> list[SweepRow]:
     """Sweep one parameter; each point gets its own tag (its sweep index)."""
     if parameter not in SWEEPABLE:
@@ -487,20 +486,15 @@ def run_sweep(
         models = [total for total, _ in curve]
     else:
         models = [fp_probability(p.model_params(), backend=backend).total for p in points]
-    rows = []
-    for i, (model, value) in enumerate(zip(models, values)):
-        unique, fp, miss, skipped = next(counts)
-        rows.append(
-            SweepRow(
-                parameter=parameter,
-                value=value,
-                result=PointResult(trials, unique, fp, miss, skipped),
-                model_fp=model,
-            )
+    return [
+        SweepRow(
+            parameter=parameter,
+            value=value,
+            result=PointResult(trials, *next(counts)),
+            model_fp=model,
         )
-        if progress is not None:
-            progress(i + 1, len(values))
-    return rows
+        for model, value in zip(models, values)
+    ]
 
 
 def sample_occupancy(

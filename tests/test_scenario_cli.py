@@ -114,7 +114,10 @@ def test_placement_arguments_are_refused_where_the_policy_takes_none(placement, 
 def test_sweep_spec_grammar():
     assert parse_sweep_spec("m2:100,200,300") == ("m2", (100, 200, 300))
     assert parse_sweep_spec(" delta : 2..4 ") == ("delta", (2, 3, 4))
-    for bad in ("k2", "k2:", "k2:x..3", "k2:1,two", "width:1..3"):
+    for bad in (
+        "k2", "k2:", "k2:x..3", "k2:1,two", "width:1..3",
+        "m2:1..4294967295", "m2:1..18446744073709551615",
+    ):
         with pytest.raises(ScenarioError):
             parse_sweep_spec(bad)
 
@@ -176,6 +179,11 @@ def test_cli_analyze_needs_all_parameters(capsys):
         ["simulate", "--preset", "width-sweep", "--trials", "64", f"--seed={2**65 - 1}"],
         ["trace", "--preset", "hash-sweep-d8", "--seed=-5"],
         ["optimize", "--budget", "4096", "--hops", "12", "--delta", "3", "--nodes", "11"],
+        # past the u16 fragment field: refused before the model allocates
+        ["analyze", "--backend", "oracle", "--m2", "200", "--k2", "5", "--hops", "10",
+         "--delta", "4294967295"],
+        ["analyze", "--compare-histograms", "--delta", "4294967295", "--hops", "10"],
+        ["optimize", "--m2", "200", "--hops", "10", "--delta", "4294967295"],
     ],
 )
 def test_cli_out_of_range_parameter_exits_2(argv, capsys):
@@ -192,6 +200,17 @@ def test_cli_analyze_sweep_rejects_a_bad_point_before_any_output(capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_cli_sweep_past_its_length_cap_exits_2(capsys):
+    # refused before the range is built, which would exhaust memory
+    rc = main(["analyze", "--m2", "64", "--k2", "3", "--hops", "4", "--delta", "3",
+               "--sweep", "m2:1..4294967295"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error: ") and "SWEEP_VALUES" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_analyze_sweep_csv(capsys):

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from clbf import _batch, bloom
 from clbf.bloom import ParameterError, fnv1a64, mix64, _seed_tag
 from clbf.protocol import (
-    FALSE_POSITIVE, MISS, UNIQUE, Clbf, edge_key, key_hashes, location_key, recover_provenance,
+    FALSE_POSITIVE, MISS, UNIQUE, Clbf, _key_grid, edge_key, key_hashes, location_key,
+    recover_provenance,
 )
 from clbf.scenario import PRESETS, load_preset
 from clbf.segments import ResourceCapError, SegmentDictionary, enumerate_valid_sequences, is_valid_sequence
@@ -525,8 +526,7 @@ def full_cell_codes(setup, seeds, pids, paths, seqs):
     certificate's oracle. Also returns the rows whose neighbour cell (the
     other of {s_{i-1}, s_{i-1} + 1} at some position i) is positive."""
     n, h, delta = setup.n_nodes, setup.h, setup.num_segments
-    u = _batch._universe(setup)
-    width = u.cell_lookup.shape[1]
+    width = min(delta, h)
     batch = len(paths)
     at = np.arange(batch)[:, None]
 
@@ -535,21 +535,28 @@ def full_cell_codes(setup, seeds, pids, paths, seqs):
         bits[at, bloom._slots(keys, m, 0, k).transpose(1, 0, 2).reshape(batch, -1)] = True
         return bits
 
-    relays = np.arange(1, n, dtype=np.uint64)
-    a, b = np.repeat(relays, n - 1), np.tile(relays, n - 1)
-    a, b = a[a != b], b[a != b]
+    def columns(layout, rows):
+        """Each row's tuples as columns of `layout`, a (batch, len(row)) array."""
+        index = {key: j for j, key in enumerate(layout)}
+        return np.array([[index[key] for key in row] for row in rows], dtype=np.int64).reshape(
+            batch, -1
+        )
+
+    pairs = [(a, b) for a in range(1, n) for b in range(1, n) if a != b]
+    a, b = np.array(pairs, dtype=np.uint64).reshape(-1, 2).T
     edge = key_hashes(a, b, pids[:, None]) ^ seed_tags(seeds)[:, None]
-    true_pos = u.pair_lookup[(paths[:, 1:] * np.uint64(n) + paths[:, :-1]).astype(np.int64)]
+    true_pos = columns(pairs, ([(p[i + 1], p[i]) for i in range(h - 1)] for p in paths.tolist()))
     bits1 = filled(edge[at, true_pos], setup.m1, setup.k1)
     clean = (bloom._probe(bits1, edge, setup.k1).sum(axis=1) == h - 1) & (h >= 2)
 
-    cell_seg = (u.cell_seg + 1).astype(np.uint64)
-    loc = key_hashes(paths[:, u.cell_pos], cell_seg, pids[:, None])
+    # admissible cells: fragment s at position i only for s <= i + 1
+    cells = [(i, s) for i in range(h) for s in range(1, min(i + 1, width) + 1)]
+    pos, seg = np.array(cells).T
+    loc = key_hashes(paths[:, pos], seg.astype(np.uint64), pids[:, None])
     loc ^= seed_tags(seeds + np.uint64(1))[:, None]
-    frag = seqs.astype(np.int64) - 1
-    bits2 = filled(loc[at, u.cell_lookup[np.arange(h), frag]], setup.m2, setup.k2)
+    bits2 = filled(loc[at, columns(cells, map(enumerate, seqs.tolist()))], setup.m2, setup.k2)
     reach = np.zeros((batch, h, width), dtype=bool)
-    reach[:, u.cell_pos, u.cell_seg] = bloom._probe(bits2, loc, setup.k2)
+    reach[:, pos, seg - 1] = bloom._probe(bits2, loc, setup.k2)
     cur = np.zeros((batch, width + 1), dtype=np.int64)
     cur[:, 1] = reach[:, 0, 0]
     for i in range(1, h):
@@ -564,6 +571,7 @@ def full_cell_codes(setup, seeds, pids, paths, seqs):
         truth = (tuple(map(int, paths[r])), tuple(map(int, seqs[r])))
         label = recover_provenance(pkt, list(range(n)), delta, rsu=0, truth=truth).classification
         codes[r] = _batch._LABELS.index(label)
+    frag = seqs.astype(np.int64) - 1
     near = 2 * frag[:, :-1] + 1 - frag[:, 1:]
     hit = np.take_along_axis(reach[:, 1:], np.minimum(near, width - 1)[:, :, None], axis=2)
     return codes, (hit[:, :, 0] & (near < width)).any(axis=1)
@@ -605,9 +613,10 @@ def test_location_certificate_matches_the_full_cell_oracle():
         if not drawn.any():
             return
         calls = []
+        grid = _key_grid(range(1, n), min(delta, h))
         _batch._probe = lambda bits, *a, **kw: calls.append(len(bits)) or probe(bits, *a, **kw)
         try:
-            codes = _batch._classify(setup, _batch._universe(setup), *args, scratch)
+            codes = _batch._classify(setup, grid, *args, scratch)
         finally:
             _batch._probe = probe
         want, positive_neighbour = full_cell_codes(setup, *args)
@@ -620,6 +629,31 @@ def test_location_certificate_matches_the_full_cell_oracle():
 
     check()
     assert sum(certified) > 0 and sum(widened) > 0
+
+
+def test_engine_edge_columns_hold_each_relay_pairs_key(monkeypatch):
+    # one two-hop row per ordered relay pair (a, b): the edge filter is
+    # filled from the engine's column of a -> b, which must hash that key
+    fill = _batch._fill
+    filled = []
+    monkeypatch.setattr(
+        _batch, "_fill", lambda bits, keys, *a: filled.append(keys.copy()) or fill(bits, keys, *a)
+    )
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 7, 12):
+        setup = small_setup(n_nodes=n, h=2, placement=PlacementSpec("free"))
+        relays = range(1, n)
+        pairs = np.array([(a, b) for a in relays for b in relays if a != b], dtype=np.uint64)
+        for pid_bits in (8, 40, 64):
+            seeds = rng.integers(0, 2**64, len(pairs), dtype=np.uint64)
+            pids = rng.integers(0, 2**pid_bits, len(pairs), dtype=np.uint64)
+            filled.clear()
+            _batch._classify(
+                setup, _key_grid(range(1, n), 2), seeds, pids, pairs[:, ::-1].copy(),
+                np.ones((len(pairs), 2), dtype=np.uint64), bloom.Scratch(),
+            )
+            want = key_hashes(pairs[:, 0], pairs[:, 1], pids) ^ seed_tags(seeds)
+            assert filled[0][:, 0].tolist() == want.tolist()
 
 
 def assert_point_matches_reference(setup, trials, seed):
