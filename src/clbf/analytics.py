@@ -10,7 +10,8 @@ probability of that event two ways:
   bits, a per-pair collision probability conditioned on it, and a fitted
   histogram of per-sequence critical pairs;
 * an oracle route: the same pipeline but with the exact critical-pair
-  histogram, counted by a transfer DP over admissible sequences.
+  histogram, in closed form by counting step strings by climbs, runs and
+  last step (`critical_pair_histogram`), O(min(delta, h) * h) binomials.
 
 A "critical pair" of a sequence is a false pair that already yields an
 alternative admissible sequence when it is the only extra recovery. The
@@ -45,7 +46,7 @@ import numpy as np
 
 from .bloom import check_geometry
 from .protocol import MAX_HOPS
-from .segments import ResourceCapError, count_valid_sequences
+from .segments import ResourceCapError, count_valid_sequences, is_valid_sequence
 from .segments import _walk  # noqa: F401  bench/layers.py wraps _walk
 
 __all__ = [
@@ -78,8 +79,15 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_fragment_field(delta: int) -> None:
-    if delta > 0xFFFF:  # past the packet's u16 fragment field
+def _check_route(delta: int, h: int) -> None:
+    """Refuse a route no packet carries: past the u8 hop counter or the u16 fragment field."""
+    if h < 1:
+        raise ValueError(f"h={h} must be >= 1")
+    if h > MAX_HOPS:
+        raise ValueError(f"h={h} exceeds the packet's hop counter ({MAX_HOPS})")
+    if delta < 1:
+        raise ValueError(f"delta={delta} must be >= 1")
+    if delta > 0xFFFF:
         raise ValueError(f"delta={delta} exceeds the u16 fragment limit 65535")
 
 
@@ -94,13 +102,7 @@ class ModelParams:
 
     def __post_init__(self):
         check_geometry(self.m2, self.k2)  # a location filter the packet can build
-        if self.h < 1:
-            raise ValueError(f"h={self.h} must be >= 1")
-        if self.h > MAX_HOPS:
-            raise ValueError(f"h={self.h} exceeds the packet's hop counter ({MAX_HOPS})")
-        if self.delta < 1:
-            raise ValueError(f"delta={self.delta} must be >= 1")
-        _check_fragment_field(self.delta)
+        _check_route(self.delta, self.h)
 
     @property
     def false_pool(self) -> int:
@@ -207,27 +209,26 @@ def occupancy_pmf_vector(m2: int, k2: int, h: int) -> tuple[float, ...]:
 
 
 def count_critical_pairs(sequence: tuple[int, ...], num_segments: int) -> int:
-    """Critical pairs of one admissible sequence.
+    """Critical pairs of one admissible sequence; ValueError on any other.
 
-    A substitution at one position stays admissible iff the new value still
-    fits both neighbors, so each position admits at most one alternative
-    and only local checks are needed.
+    The rule, over the steps (0 stays, 1 climbs) between positions: the
+    first position is fixed at fragment 1; an interior position admits a
+    substitute iff its two steps differ; the last one iff its step climbs
+    or it sits below fragment ``num_segments``. No position admits two. So
+    J = (turns of the step string) + (last-position term).
     """
-    n = len(sequence)
-    j = 0
-    for i in range(1, n):
-        prev = sequence[i - 1]
-        cur = sequence[i]
-        if i + 1 < n:
-            nxt = sequence[i + 1]
-            lo = max(prev, nxt - 1)
-            hi = min(prev + 1, nxt)
-        else:
-            lo, hi = prev, prev + 1
-        for v in range(lo, hi + 1):
-            if v != cur and 1 <= v <= num_segments:
-                j += 1
-    return j
+    if not is_valid_sequence(sequence, num_segments):
+        raise ValueError(f"{sequence} is not an admissible sequence over {num_segments} fragments")
+    steps = [b - a for a, b in zip(sequence, sequence[1:])]
+    if not steps:
+        return 0
+    turns = sum(a != b for a, b in zip(steps, steps[1:]))
+    return turns + (steps[-1] == 1 or sequence[-1] < num_segments)
+
+
+def _runs(n: int, r: int) -> int:
+    """Ways to split n steps into r nonempty runs; n = r = 0 is one way."""
+    return math.comb(n - 1, r - 1) if n and r else int(n == r)
 
 
 @lru_cache(maxsize=64)
@@ -238,30 +239,26 @@ def critical_pair_histogram(num_segments: int, seq_len: int) -> tuple[int, ...]:
     only for single-position or single-segment inputs and are simply not
     recorded; they can never create ambiguity.
 
-    `count_critical_pairs` only reads a (prev, cur, next) window: an
-    interior position has a substitute iff exactly one of its two steps
-    climbs, the last one iff its step climbs or it is below the top
-    fragment. So a transfer DP over (fragment, last step) counts exactly.
+    By `count_critical_pairs`' rule a sequence's J depends only on its
+    step string's climbs c (at most min(delta, h) - 1), run count R and
+    last step: J = R - 1 + last, with last 1 after a climb and [c + 1 <
+    delta] after a stay. Climbs fall into ceil(R/2) runs and stays into
+    floor(R/2) when the string ends on a climb, the reverse when it ends
+    on a stay, so each (c, R, last step) class is a product of two run
+    counts (`_runs`): O(min(delta, h) * h) terms in all.
     """
     if num_segments < 1 or seq_len < 1:
         raise ValueError(f"need num_segments >= 1 and seq_len >= 1, got {num_segments}, {seq_len}")
-    width = 2 * num_segments - 1  # J = 0..2*num_segments-2, never more
-    # (fragment, step into it) -> counts by J over every position but the last
-    ways = {(1, None): [1] + [0] * (width - 1)}
-    for _ in range(seq_len - 1):
-        nxt = {}
-        for (cur, step), counts in ways.items():
-            for climb in range(1 + (cur < num_segments)):  # no climb past the top
-                turn = step is not None and step != climb
-                acc = nxt.setdefault((cur + climb, climb), [0] * width)
-                for j in range(turn, width):
-                    acc[j] += counts[j - turn]
-        ways = nxt
-    hist = [0] * width
-    for (cur, step), counts in ways.items():
-        last = step is not None and (step == 1 or cur < num_segments)
-        for j in range(last, width):
-            hist[j] += counts[j - last]
+    steps = seq_len - 1
+    hist = [0] * (2 * num_segments - 1)  # J = 0..2*num_segments-2, never more
+    for climbs in range(min(num_segments, seq_len)):
+        for runs in range(1, steps + 1):
+            for ends_climbing in (0, 1):
+                climb_runs = (runs + ends_climbing) // 2
+                ways = _runs(climbs, climb_runs) * _runs(steps - climbs, runs - climb_runs)
+                if ways:
+                    last = ends_climbing or climbs + 1 < num_segments
+                    hist[runs - 1 + last] += ways
     return tuple(hist[1:])
 
 
@@ -314,14 +311,15 @@ def critical_pair_histogram_closed(delta: int, h: int) -> tuple[int, ...]:
 def fp_subset_count(j: int, critical: int, pool: int) -> int:
     """Size-j subsets of ``pool`` false pairs hitting >= 1 of ``critical``.
 
-    Computed as the telescoping sum_{l=1..critical} C(pool-l, j-1); equal
-    to C(pool, j) - C(pool-critical, j).
+    All size-j subsets less those that miss every critical pair:
+    C(pool, j) - C(pool-critical, j), the telescoped sum_{l=1..critical}
+    C(pool-l, j-1).
     """
     if j < 1:
         raise ValueError(f"subset size j={j} must be >= 1")
     if critical < 0 or pool < 0 or critical > pool:
         raise ValueError(f"critical={critical} outside [0, pool={pool}]")
-    return sum(binom(pool - l, j - 1) for l in range(1, critical + 1))
+    return binom(pool, j) - binom(pool - critical, j)
 
 
 def fp_subset_totals(
@@ -528,7 +526,7 @@ class BackendComparison:
 
 
 def compare_backends(delta: int, h: int) -> BackendComparison:
-    _check_fragment_field(delta)
+    _check_route(delta, h)
     return BackendComparison(
         delta=delta,
         h=h,

@@ -70,7 +70,6 @@ MAX_BITS = 2**32 - 1
 
 _U64 = np.uint64
 _OFFSET = _U64(FNV_OFFSET)
-_PRIME = _U64(FNV_PRIME)
 _GAMMA = _U64(GAMMA)
 _A = _U64(_MIX_A)
 _B = _U64(_MIX_B)

@@ -47,6 +47,35 @@ def brute_critical_pairs(seq, num_segments):
     return hits
 
 
+def transfer_dp_histogram(num_segments, seq_len):
+    """`critical_pair_histogram` by a transfer DP over (fragment, last step).
+
+    An interior position has a substitute iff exactly one of its two steps
+    climbs, the last one iff its step climbs or it is below the top
+    fragment, so the DP carries counts by J over every position but the
+    last. Its lists are 2*num_segments-1 wide: the oracle for sizes past
+    enumeration.
+    """
+    width = 2 * num_segments - 1  # J = 0..2*num_segments-2, never more
+    # (fragment, step into it) -> counts by J over every position but the last
+    ways = {(1, None): [1] + [0] * (width - 1)}
+    for _ in range(seq_len - 1):
+        nxt = {}
+        for (cur, step), counts in ways.items():
+            for climb in range(1 + (cur < num_segments)):  # no climb past the top
+                turn = step is not None and step != climb
+                acc = nxt.setdefault((cur + climb, climb), [0] * width)
+                for j in range(turn, width):
+                    acc[j] += counts[j - turn]
+        ways = nxt
+    hist = [0] * width
+    for (cur, step), counts in ways.items():
+        last = step is not None and (step == 1 or cur < num_segments)
+        for j in range(last, width):
+            hist[j] += counts[j - last]
+    return tuple(hist[1:])
+
+
 # ---------------------------------------------------------------------------
 # generalized binomials
 
@@ -251,6 +280,12 @@ def test_count_critical_pairs_frozen(seq, delta, expected):
     assert count_critical_pairs(seq, delta) == expected
 
 
+@pytest.mark.parametrize("seq,delta", [((1, 3), 3), ((2, 2), 3), ((1, 2, 3), 2), ((), 3)])
+def test_count_critical_pairs_refuses_a_non_admissible_sequence(seq, delta):
+    with pytest.raises(ValueError, match="not an admissible sequence"):
+        count_critical_pairs(seq, delta)
+
+
 def test_histogram_oracle_frozen():
     assert critical_pair_histogram(2, 3) == (2, 1)
     hist = critical_pair_histogram(3, 4)
@@ -269,6 +304,23 @@ def test_histogram_oracle_matches_brute_force():
                 if j:  # one position or one fragment: nothing to substitute
                     hist[j - 1] += 1
             assert critical_pair_histogram(delta, length) == tuple(hist), (delta, length)
+
+
+def test_histogram_closed_form_matches_transfer_dp():
+    grid = itertools.chain(itertools.product(range(1, 21), range(1, 25)), [(30, 40)])
+    for delta, length in grid:
+        assert critical_pair_histogram(delta, length) == transfer_dp_histogram(delta, length), (
+            delta, length)
+
+
+def test_histogram_past_delta_h_plus_1_only_pads_zeros():
+    # a length-h sequence reaches fragment h at most, so every delta past
+    # h + 1 sees the same last-position term
+    for length, deltas in [(n, range(n + 2, n + 8)) for n in range(1, 16)] + [(10, [65535])]:
+        top = critical_pair_histogram(length + 1, length)
+        for delta in deltas:
+            padded = top + (0,) * (2 * delta - 2 - len(top))
+            assert critical_pair_histogram(delta, length) == padded, (delta, length)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from clbf import cli
+from clbf import analytics, cli
 from clbf.cli import main
 from clbf.optimize import K2_SCAN_MAX
 from clbf.scenario import (
@@ -184,6 +184,9 @@ def test_cli_analyze_needs_all_parameters(capsys):
          "--delta", "4294967295"],
         ["analyze", "--compare-histograms", "--delta", "4294967295", "--hops", "10"],
         ["optimize", "--m2", "200", "--hops", "10", "--delta", "4294967295"],
+        # past the u8 hop counter: no packet carries the route
+        ["analyze", "--compare-histograms", "--delta", "3", "--hops", "300"],
+        ["analyze", "--compare-histograms", "--delta", "4", "--hops", "1000000"],
     ],
 )
 def test_cli_out_of_range_parameter_exits_2(argv, capsys):
@@ -253,6 +256,18 @@ def test_cli_model_evaluation_past_its_budget_exits_4(capsys):
         "resource cap exceeded: the model evaluation needs 300010000 cells of occupancy law times "
         "4 J terms (+ 20 per cell), 7200240000 term evaluations, past EVAL_TERMS = 268435456\n"
     )
+    assert elapsed < 1.0
+
+
+def test_cli_oracle_at_the_u16_fragment_maximum_is_fast(capsys):
+    # the exact histogram costs O(min(delta, h) * h) terms, not O(delta) per step
+    analytics.critical_pair_histogram.cache_clear()
+    t0 = time.perf_counter()
+    rc = main(["analyze", "--backend", "oracle", "--m2", "200", "--k2", "5", "--hops", "10",
+               "--delta", "65535"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert capsys.readouterr().err == ""
     assert elapsed < 1.0
 
 
