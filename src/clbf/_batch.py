@@ -40,14 +40,13 @@ true one, and counting provenance candidates reduces to that certificate,
 or to a dynamic program, saturating at 2, over the widened row's
 membership matrix. Single-hop trials, and trials where the edge filter
 returned anything extra, fall back to the reference recovery on a packet
-that `Clbf.from_bits` rebuilds from the very same filter bits. The large
-per-batch arrays (key hashes, slot indices, both filters' bits) live in
-`bloom.Scratch` buffers that a pool worker keeps for its whole life, so
-their pages are faulted in once, not once per batch. The buffers keep the
-size of the largest batch the worker has run until the pool is dropped: the
-key hashes, the slots and `_mix`'s temporary can each come near
-BATCH_BYTES, so a worker can hold about three times BATCH_BYTES after one
-large point.
+that `Clbf.from_bits` rebuilds from the very same filter bits. Both
+filters' images (a byte per bit) live in one `Scratch` buffer that a pool
+worker keeps for its whole life, so their pages are faulted in once, not
+once per batch; key hashes and slot indices are fresh arrays each batch,
+which measured no slower. The buffer keeps the size of the largest batch's
+filter bits the worker has run until the pool is dropped: at most
+BATCH_BYTES, the budget that a batch's filter bits are part of.
 
 Workers. A point's trials split into contiguous ranges, and since no
 result depends on where a batch starts, the ranges can run anywhere and be
@@ -69,7 +68,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bloom import GAMMA, _GAMMA, Scratch, _mix, _probe, _slots, check_geometry, mix64
+from .bloom import GAMMA, _GAMMA, _mix, _probe, _slots, check_geometry, mix64
 from .protocol import (
     FALSE_POSITIVE, MISS, UNIQUE, Clbf, _fold_pid, _key_grid, key_hashes, recover_provenance,
 )
@@ -385,12 +384,34 @@ class _PathLaw:
 # hash, embed and probe
 
 
-def _fill(bits: np.ndarray, keys: np.ndarray, k: int, scratch: Scratch) -> None:
+class Scratch:
+    """Named buffers that one process reuses from batch to batch.
+
+    `take` hands out an uninitialised flat bool array that views the named
+    buffer, grown when too small and never shrunk, so a loop of batches
+    faults its pages in once instead of on every batch. A caller writes
+    every element it reads: no value carries over from one `take` to the
+    next.
+    """
+
+    __slots__ = ("_bufs",)
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, size: int) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size, dtype=np.uint8)
+        return buf[:size].view(bool)
+
+
+def _fill(bits: np.ndarray, keys: np.ndarray, k: int) -> None:
     """Clear `bits` (rows, m), then set the k slots of each seeded key hash
     in `keys` (rows, c) in its own row, by flat index."""
     rows, m = bits.shape
     bits.fill(False)
-    idx = _slots(keys, m, 0, k, scratch)
+    idx = _slots(keys, m, 0, k)
     idx += np.arange(0, rows * m, m)[:, None]
     bits.ravel()[idx] = True
 
@@ -428,16 +449,20 @@ def _classify(
     # hash every relay pair; the true edges' hashes fill the edge filter
     edge_prefix = grid[:, :r][~np.eye(r, dtype=bool)]
     pairs = len(edge_prefix)
-    edge = _fold_pid(edge_prefix, pids[:, None], scratch.take("keys", (batch, pairs)))
+    edge = _fold_pid(edge_prefix, pids[:, None])
     edge ^= _mix(seeds + _GAMMA)[:, None]
     a, b = paths[:, 1:].astype(np.int64), paths[:, :-1].astype(np.int64)
     if not (a != b).all():
         raise AssertionError("relay path holds a self-edge")
     true_pos = (a - 1) * (r - 1) + (b - 1) - (b > a)  # the column of edge a -> b
-    bits1 = scratch.take("bits1", (batch, setup.m1), bool)
-    _fill(bits1, np.take_along_axis(edge, true_pos, axis=1), setup.k1, scratch)
+    # both filter images share one buffer, so a worker keeps at most one
+    # batch's filter bits, whatever the widths of the points it has run
+    bits = scratch.take("bits", batch * (setup.m1 + setup.m2))
+    bits1 = bits[: batch * setup.m1].reshape(batch, setup.m1)
+    bits2 = bits[batch * setup.m1 :].reshape(batch, setup.m2)
+    _fill(bits1, np.take_along_axis(edge, true_pos, axis=1), setup.k1)
     true_pos += np.arange(batch)[:, None] * pairs  # flat, row by row
-    edge_member = _probe(bits1, edge, setup.k1, scratch, stored=true_pos.ravel())
+    edge_member = _probe(bits1, edge, setup.k1, stored=true_pos.ravel())
     if not edge_member.ravel()[true_pos].all():
         raise AssertionError("edge filter dropped a stored edge")
     # one hop has no edge to pin the path down: every node is a candidate
@@ -454,10 +479,9 @@ def _classify(
     cells = np.concatenate([frag, np.minimum(near, width - 1)], axis=1)
     loc = _fold_pid(cell_prefix[rows[:, np.r_[0:h, 1:h]], cells], pids[:, None])
     loc ^= tag
-    bits2 = scratch.take("bits2", (batch, setup.m2), bool)
-    _fill(bits2, loc[:, :h], setup.k2, scratch)
+    _fill(bits2, loc[:, :h], setup.k2)
     stored = (np.arange(batch)[:, None] * loc.shape[1] + np.arange(h)).ravel()
-    loc_member = _probe(bits2, loc, setup.k2, scratch, stored)
+    loc_member = _probe(bits2, loc, setup.k2, stored)
     if not loc_member[:, :h].all():
         raise AssertionError("location filter dropped a stored pair")
     wide = np.flatnonzero((loc_member[:, h:] & (near < width)).any(axis=1))
@@ -507,8 +531,8 @@ def _run(
 ) -> np.ndarray:
     """Outcome codes (indices into `_LABELS`) of trials start..stop-1.
 
-    ``scratch`` holds the large per-batch arrays; without one, the call
-    makes its own and lets it go on return.
+    ``scratch`` holds the filter images; without one, the call makes its
+    own and lets it go on return.
     """
     law = _PathLaw(setup)
     grid = _key_grid(range(1, setup.n_nodes), law.width)
@@ -535,8 +559,8 @@ def _run(
 
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_pid = 0  # the process that built `_pool`; a forked child never reuses it
-# a pool worker's buffers, kept across every range it runs; a process that
-# only runs jobs inline never makes one
+# a pool worker's filter images, kept across every range it runs; a process
+# that only runs jobs inline never makes them
 _worker_scratch: Optional[Scratch] = None
 
 
@@ -557,7 +581,7 @@ def _ranges(trials: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_pooled(*args) -> np.ndarray:
-    """`_run` in a pool worker, on the worker's own scratch buffers."""
+    """`_run` in a pool worker, on the worker's own scratch buffer."""
     global _worker_scratch
     if _worker_scratch is None:
         _worker_scratch = Scratch()
@@ -623,7 +647,7 @@ def map_point_codes(jobs: Sequence[tuple]) -> Iterator[np.ndarray]:
 
 
 def _inline(jobs: list[tuple]) -> Iterator[np.ndarray]:
-    """Each job's codes, run here in turn on buffers that last the iteration."""
+    """Each job's codes, run here in turn on a buffer that lasts the iteration."""
     scratch = Scratch()
     for setup, trials, base_seed, point_tag in jobs:
         yield _run(setup, 0, trials, base_seed, point_tag, scratch)

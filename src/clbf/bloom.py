@@ -26,8 +26,7 @@ The scheme's only vectorized form lives here too: FNV-1a over columns of
 key bytes, the seeded slots of every level (levels first: row L holds slot
 L of every key), and a probe that tests arrays of key hashes level by
 level, computing slot L only for the keys still positive after L levels.
-A caller that probes batch after batch can hand them a `Scratch`, whose
-buffers they reuse for their large arrays. The receiver
+None of them takes a buffer: each call makes its own arrays. The receiver
 (`BloomFilter.contains_hashes`) and the simulation engine both use the
 probe; a property test keeps it equal to the scalar `contains` key by
 key. The receiver unpacks its filter to one byte per bit for the probe,
@@ -40,8 +39,6 @@ that `protocol` describes.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -122,44 +119,15 @@ def hash_indices(key: bytes, m: int, k: int, seed: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the same hashes over uint64 arrays; they work in place where they can,
-# because a fresh large array costs more to fault in than the arithmetic
-# done on it
+# the same hashes over uint64 arrays. Each call makes its own arrays and
+# works in place on them where it can: measured over whole runs, a fresh
+# array of key hashes, slots or temporaries costs no more than one reused
+# from call to call
 
 
-class Scratch:
-    """Named buffers that one process reuses from call to call.
-
-    `take` hands out an uninitialised array that views the named buffer,
-    grown when too small and never shrunk, so a loop that makes arrays of
-    similar sizes faults their pages in once instead of on every pass. Two
-    arrays alive at once need two names. A caller writes every element it
-    reads: no value carries over from one `take` to the next.
-    """
-
-    __slots__ = ("_bufs",)
-
-    def __init__(self):
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        size = math.prod(shape) * dtype.itemsize
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size:
-            buf = self._bufs[name] = np.empty(size, dtype=np.uint8)
-        return buf[:size].view(dtype).reshape(shape)
-
-
-def _take(scratch: Scratch | None, name: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
-    """`scratch.take`, or a fresh array when there is no scratch."""
-    return np.empty(shape, dtype) if scratch is None else scratch.take(name, shape, dtype)
-
-
-def _mix(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """`mix64` of array ``x``, computed in place; ``t`` is a temporary of
-    x's shape (a fresh one when None)."""
-    t = np.right_shift(x, _U64(30), out=t)
+def _mix(x: np.ndarray) -> np.ndarray:
+    """`mix64` of array ``x``, computed in place."""
+    t = np.right_shift(x, _U64(30))
     x ^= t
     x *= _A
     x ^= np.right_shift(x, _U64(27), out=t)
@@ -168,15 +136,14 @@ def _mix(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
-def _fnv(terms, acc=None, out: np.ndarray | None = None) -> np.ndarray:
+def _fnv(terms, acc=None) -> np.ndarray:
     """`fnv1a64` state after key bytes ``terms``, continued from ``acc``.
 
     Each term is one key byte: a scalar or an array. ``acc`` is an FNV-1a
     state (the offset basis when None) and is never written to. The state
     only grows to the broadcast shape of the terms seen so far, so bytes
-    shared along an axis are hashed once; once that shape is ``out``'s,
-    the state lives in ``out``. A zero byte costs no XOR, so a run of them
-    is one multiply by the prime's power (mod 2^64).
+    shared along an axis are hashed once. A zero byte costs no XOR, so a
+    run of them is one multiply by the prime's power (mod 2^64).
     """
     acc = np.array(_OFFSET if acc is None else acc)
     power = 1  # the prime's power owed by the zero bytes since the last XOR
@@ -186,8 +153,7 @@ def _fnv(terms, acc=None, out: np.ndarray | None = None) -> np.ndarray:
                 acc *= _U64(power)
             grown = isinstance(t, np.ndarray) and np.broadcast(acc, t).shape
             if grown and grown != acc.shape:
-                into = out if out is not None and out.shape == grown else None
-                acc = np.bitwise_xor(acc, t, out=into)
+                acc = np.bitwise_xor(acc, t)
             else:
                 acc ^= t
             power = FNV_PRIME
@@ -198,21 +164,15 @@ def _fnv(terms, acc=None, out: np.ndarray | None = None) -> np.ndarray:
     return acc
 
 
-def _slots(
-    base: np.ndarray, m: int, first: int, stop: int, scratch: Scratch | None = None
-) -> np.ndarray:
+def _slots(base: np.ndarray, m: int, first: int, stop: int) -> np.ndarray:
     """Slots first..stop-1 of seeded key hashes `base` (= h0 ^ seed tag) in an
     m-bit filter, levels first: out[j] is slot first + j of every key;
-    `hash_indices` for first=0, stop=k. With a `scratch`, the result and
-    `_mix`'s temporary are its "slots" and "mix" buffers."""
-    shape = (stop - first, *np.shape(base))
+    `hash_indices` for first=0, stop=k."""
     levels = np.arange(first + 1, stop + 1, dtype=np.uint64) * _GAMMA  # (L + 1) * GAMMA mod 2^64
     levels = levels.reshape((-1,) + (1,) * np.ndim(base))
-    x = np.bitwise_xor(base, levels, out=_take(scratch, "slots", shape))
-    t = _take(scratch, "mix", shape)
-    _mix(x, t)
+    x = _mix(np.bitwise_xor(base, levels))
     if m & (m - 1):
-        q = np.floor_divide(x, _U64(m), out=t)  # through libdivide; np.remainder is not
+        q = np.floor_divide(x, _U64(m))  # through libdivide; np.remainder is not
         q *= _U64(m)
         x -= q
     else:
@@ -226,13 +186,7 @@ def _slots(
 _PASS_SLOTS = 4096
 
 
-def _probe(
-    bits: np.ndarray,
-    keys: np.ndarray,
-    k: int,
-    scratch: Scratch | None = None,
-    stored: np.ndarray | None = None,
-) -> np.ndarray:
+def _probe(bits: np.ndarray, keys: np.ndarray, k: int, stored: np.ndarray | None = None) -> np.ndarray:
     """Filter membership of seeded key hashes (h0 ^ seed tag), level by level.
 
     bits: (rows, m) bool, one filter per row; keys: (rows, ...). A pass
@@ -243,15 +197,13 @@ def _probe(
     indices of keys the caller put in the filter: they are probed in the
     first pass only and keep its answer, so later passes hash only keys of
     unknown fate; a stored key's answer reads only the first pass's levels.
-    With a `scratch`, the first pass, the one over every key, hashes into
-    its buffers.
     """
     rows, m = bits.shape
     flat = bits.ravel()
     per_row = keys[0].size
     keys = keys.reshape(rows, per_row)
     stop = min(k, max(1, _PASS_SLOTS // max(keys.size, 1)))
-    idx = _slots(keys, m, 0, stop, scratch)
+    idx = _slots(keys, m, 0, stop)
     if rows > 1:
         idx += np.arange(0, rows * m, m)[:, None]
     hit = _gather_all(flat, idx)

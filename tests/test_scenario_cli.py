@@ -228,6 +228,22 @@ def test_cli_analyze_sweep_csv(capsys):
     assert len(lines) == 2 + 4
 
 
+@pytest.mark.parametrize("backend", analytics.BACKENDS)
+@pytest.mark.parametrize("sweep", ["m2:48,64,200", "delta:1..4"])
+def test_cli_analyze_sweep_rows_are_the_model_at_each_point(sweep, backend, capsys):
+    rc = main(["analyze", "--m2", "64", "--k2", "3", "--hops", "4", "--delta", "3",
+               "--sweep", sweep, "--backend", backend])
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert rc == 0
+    param, values = parse_sweep_spec(sweep)
+    fields = {"m2": 64, "k2": 3, "h": 4, "delta": 3}
+    want = []
+    for v in values:
+        bd = analytics.fp_probability(analytics.ModelParams(**{**fields, param: v}), backend)
+        want.append(f"{param},{v},{cli._f(bd.total)},{int(bd.clamped)}")
+    assert lines[2:] == want
+
+
 def test_cli_occupancy_walk_past_its_budget_exits_4(capsys):
     t0 = time.perf_counter()
     rc = main(["analyze", "--m2", "100000", "--k2", "2000", "--hops", "50", "--delta", "3"])
@@ -510,6 +526,36 @@ def test_cli_trace_free_placement_scenario(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "classification:" in out
+
+
+def test_cli_trace_of_a_trial_no_placement_can_staff(tmp_path, capsys):
+    # vehicles sit on fragments 2 and 3 only, and every sequence starts at fragment 1
+    scenario = tmp_path / "unstaffed.ini"
+    scenario.write_text(
+        GOOD.replace("placement = balanced_prefix", "placement = explicit:2,2,3,3,3")
+        .replace("hops = 4", "hops = 3")
+    )
+    rc = main(["trace", "--scenario", str(scenario)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "trial skipped: no admissible fragment sequence is staffable\n"
+    assert captured.err == ""
+
+
+def test_cli_figures_writes_each_presets_simulate_csv_and_a_plot(tmp_path, capsys):
+    figures = tmp_path / "figures"
+    assert main(["figures", "--trials", "2", "--out", str(figures)]) == 0
+    assert sorted(p.name for p in figures.iterdir()) == sorted(
+        f"{name}.{ext}" for name in PRESETS for ext in ("csv", "gp")
+    )
+    for name in PRESETS:
+        alone = tmp_path / name
+        assert main(["simulate", "--preset", name, "--trials", "2", "--out", str(alone)]) == 0
+        csv = (figures / f"{name}.csv").read_bytes()
+        assert csv == (alone / f"{name}.csv").read_bytes()
+        param = load_preset(name).sweep[0]
+        assert (figures / f"{name}.gp").read_text() == cli.gnuplot_script(name, param)
+    capsys.readouterr()
 
 
 def test_cli_trace_point_out_of_range(capsys):

@@ -582,7 +582,7 @@ def test_location_certificate_matches_the_full_cell_oracle():
     # are all negative and a row that must count its sequences come up
     certified, widened = [], []
     probe = _batch._probe
-    scratch = bloom.Scratch()  # one for every example, as a worker keeps it
+    scratch = _batch.Scratch()  # one for every example, as a worker keeps it
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -650,7 +650,7 @@ def test_engine_edge_columns_hold_each_relay_pairs_key(monkeypatch):
             filled.clear()
             _batch._classify(
                 setup, _key_grid(range(1, n), 2), seeds, pids, pairs[:, ::-1].copy(),
-                np.ones((len(pairs), 2), dtype=np.uint64), bloom.Scratch(),
+                np.ones((len(pairs), 2), dtype=np.uint64), _batch.Scratch(),
             )
             want = key_hashes(pairs[:, 0], pairs[:, 1], pids) ^ seed_tags(seeds)
             assert filled[0][:, 0].tolist() == want.tolist()

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clbf import _batch, bloom, cli, protocol
+from clbf import _batch, cli, protocol
 from clbf.bloom import ParameterError
 from clbf.cli import main
 from clbf.scenario import _PRESET_TEXT, PRESETS, load_preset, load_scenario
@@ -281,13 +281,32 @@ def test_reused_scratch_carries_nothing_from_one_point_to_the_next():
         (setup_of(PlacementSpec("uniform_per_segment", per_segment=3), 9, 3, 1), 50),  # one hop
     ]
     fresh = [_batch._run(setup, 0, trials, 9, tag) for tag, (setup, trials) in enumerate(points)]
-    scratch = bloom.Scratch()
+    scratch = _batch.Scratch()
     for order in (range(len(points)), reversed(range(len(points)))):
         for tag in order:
             setup, trials = points[tag]
             assert np.array_equal(_batch._run(setup, 0, trials, 9, tag, scratch), fresh[tag])
             for buf in scratch._bufs.values():
                 buf.fill(0xA5)
+
+
+def test_a_scratch_keeps_only_the_filter_images_within_the_batch_budget(monkeypatch):
+    # a point whose key hashes fill the batch budget, then points that put
+    # nearly all of it in one filter, then in the other: the scratch holds
+    # one batch's filter bits at most, never the keys or their slots
+    monkeypatch.setattr(_batch, "BATCH_BYTES", 1 << 16)
+    points = [
+        setup_of(PlacementSpec("free"), 40, 3, 5, m1=64, k1=2, m2=64, k2=2),
+        setup_of(PlacementSpec("free"), 8, 3, 5, m1=16384, k1=3, m2=8, k2=2),
+        setup_of(PlacementSpec("free"), 8, 3, 5, m1=8, k1=2, m2=16384, k2=3),
+    ]
+    scratch = _batch.Scratch()
+    for tag, setup in enumerate(points):
+        rows = _batch._batch_rows(setup)
+        assert rows < _batch.BATCH  # the budget sets the batch
+        assert len(_batch._run(setup, 0, 2 * rows, 9, tag, scratch)) == 2 * rows
+        assert list(scratch._bufs) == ["bits"]
+        assert sum(buf.nbytes for buf in scratch._bufs.values()) <= _batch.BATCH_BYTES
 
 
 def test_an_inline_run_holds_no_scratch_after_it_returns(monkeypatch):
@@ -297,4 +316,4 @@ def test_an_inline_run_holds_no_scratch_after_it_returns(monkeypatch):
     assert run_sweep(setup, "k2", [1, 2], trials=600, base_seed=4)[1].result.trials == 600
     gc.collect()
     assert _batch._worker_scratch is None
-    assert not [obj for obj in gc.get_objects() if isinstance(obj, bloom.Scratch)]
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, _batch.Scratch)]
